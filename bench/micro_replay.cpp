@@ -11,12 +11,12 @@
 //    "identical": true, "engine_runs": {"fullsim": 5, "replay": 1},
 //    "ms": {"fullsim": ..., "replay": ...}, "speedup": ...,
 //    "t_recon_rel_err": {"mean": ..., "max": ...}}, ...],
-//    "kernel": "avx2", "identical": true}
+//    "kernel": "scalar", "identical": true}
 //
 // Kernel-comparison mode (--compare-kernels): capture once per scenario,
 // then time the REPLAY HALF ALONE under every engine — full simulation,
-// the legacy per-size loop, and the fused kernel with each tag-compare
-// path — and verify every profile against the per-size reference:
+// the legacy per-size loop and the fused multi-size kernel — and verify
+// every profile against the per-size reference:
 //
 //   ./micro_replay --compare-kernels [--jobs N]
 //   {"bench": "micro_replay", "mode": "compare-kernels", "scenarios": [
@@ -24,15 +24,14 @@
 //     "engines": [{"kernel": "fullsim", ...},
 //                 {"kernel": "persize", "ms": ..., "speedup_vs_persize": 1.0,
 //                  "identical": true},
-//                 {"kernel": "scalar", "resolved": "scalar", ...},
-//                 {"kernel": "avx2", "resolved": "avx2", ...}]}, ...],
+//                 {"kernel": "scalar", "ms": ..., ...}]}, ...],
 //    "identical": true}
 //
 // Flags: --jobs N            campaign workers (0 = hardware)
 //        --quick             tiny scenarios only (CI smoke on slow hosts)
-//        --replay-kernel K   auto|scalar|sse4|avx2|persize (default auto)
+//        --replay-kernel K   auto|scalar|persize (default auto)
 //        --profile-out FILE  dump the replay profile (MissProfile rows) to
-//                            FILE — CI diffs scalar vs auto dumps
+//                            FILE — CI diffs the scalar and persize dumps
 //        --compare-kernels   per-kernel timing mode (see above)
 #include <chrono>
 #include <cmath>
@@ -156,22 +155,17 @@ bool compare_kernels(unsigned jobs,
                 "\"speedup_vs_persize\": 1.00, \"identical\": true}",
                 persize_ms);
 
-    const opt::ReplayKernel fused_kernels[] = {opt::ReplayKernel::kScalar,
-                                               opt::ReplayKernel::kSse4,
-                                               opt::ReplayKernel::kAvx2};
-    for (const opt::ReplayKernel k : fused_kernels) {
-      const opt::ReplayKernel resolved = opt::resolve_replay_kernel(k);
+    {
       opt::MissProfile prof;
       const double ms = wall_ms([&] {
-        prof = opt::replay_profile_multi(fused, l2, l2_seed, surcharge, k);
+        prof = opt::replay_profile_multi(fused, l2, l2_seed, surcharge,
+                                         opt::ReplayKernel::kScalar);
       });
       const bool identical = ref.identical(prof);
       all_identical = all_identical && identical;
-      std::printf(", {\"kernel\": \"%s\", \"resolved\": \"%s\", "
-                  "\"ms\": %.1f, \"speedup_vs_persize\": %.2f, "
-                  "\"identical\": %s}",
-                  opt::to_string(k), opt::to_string(resolved), ms,
-                  ms > 0.0 ? persize_ms / ms : 0.0,
+      std::printf(", {\"kernel\": \"scalar\", \"ms\": %.1f, "
+                  "\"speedup_vs_persize\": %.2f, \"identical\": %s}",
+                  ms, ms > 0.0 ? persize_ms / ms : 0.0,
                   identical ? "true" : "false");
     }
     std::printf("]}");

@@ -343,7 +343,7 @@ opt::MissProfile Experiment::profile_replay(
   if (kernel == opt::ReplayKernel::kPerSize) {
     // Legacy sharding: one campaign item per (capture, size) — each item
     // re-decodes every stream of its capture. Kept as the independent
-    // reference path for the fused kernels.
+    // reference path for the fused kernel.
     std::vector<opt::ProfileFragment> fragments(sweep.size());
     Campaign campaign(cfg_.jobs);
     for (std::size_t i = 0; i < sweep.size(); ++i) {

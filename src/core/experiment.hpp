@@ -76,10 +76,9 @@ struct ExperimentConfig {
   unsigned jobs = 1;
 
   /// Replay engine of kTraceReplay profiling (opt/replay_kernel_mode.hpp).
-  /// Every kernel yields bit-identical profiles; kAuto picks the fastest
-  /// fused path the CPU supports, kPerSize keeps the legacy
-  /// one-cache-per-size loop (the reference the fused kernels are
-  /// verified against).
+  /// Every kernel yields bit-identical profiles; kAuto runs the fused
+  /// multi-size kernel, kPerSize keeps the legacy one-cache-per-size loop
+  /// (the reference the fused kernel is verified against).
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 

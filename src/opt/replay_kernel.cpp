@@ -4,46 +4,179 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "common/simd.hpp"
-#include "opt/replay_kernel_impl.hpp"
+#include "mem/cache.hpp"
 
 namespace cms::opt {
 
-namespace detail {
-
-void run_stream_scalar(StreamCtx& ctx) {
-  run_stream_generic(ctx, FindWayScalar{});
-}
-
-}  // namespace detail
-
-bool have_sse4_kernel() { return detail::built_with_sse4(); }
-bool have_avx2_kernel() { return detail::built_with_avx2(); }
-
 ReplayKernel resolve_replay_kernel(ReplayKernel requested) {
-  const bool avx2_ok =
-      have_avx2_kernel() && common::simd_has(common::kSimdAvx2);
-  // The SSE4 body uses _mm_cmpeq_epi64 (SSE4.1); requiring 4.2 as well
-  // matches the -msse4.2 the TU is built with.
-  const bool sse4_ok = have_sse4_kernel() &&
-                       common::simd_has(common::kSimdSse41) &&
-                       common::simd_has(common::kSimdSse42);
-  switch (requested) {
-    case ReplayKernel::kAuto:
-      return avx2_ok ? ReplayKernel::kAvx2
-                     : (sse4_ok ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-    case ReplayKernel::kAvx2:
-      return avx2_ok ? ReplayKernel::kAvx2 : ReplayKernel::kScalar;
-    case ReplayKernel::kSse4:
-      return sse4_ok ? ReplayKernel::kSse4 : ReplayKernel::kScalar;
-    case ReplayKernel::kScalar:
-    case ReplayKernel::kPerSize:
-      return requested;
-  }
-  return ReplayKernel::kScalar;
+  return requested == ReplayKernel::kAuto ? ReplayKernel::kScalar : requested;
 }
 
 namespace {
+
+/// Exact x % d for x, d < 2^32 via one wraparound multiply + one
+/// high-multiply (Lemire's fastmod) — the per-event (line % total) %
+/// client_sets chain costs 2 of these PER LANE, and a hardware divide
+/// there would dominate the whole kernel. d == 1 works out naturally:
+/// magic wraps to 0 and the result is 0.
+struct FastMod {
+  std::uint64_t magic = 0;  // UINT64_MAX / d + 1 (mod 2^64)
+  std::uint32_t d = 1;
+
+  static FastMod make(std::uint32_t d) {
+    return FastMod{~std::uint64_t{0} / d + 1, d};
+  }
+  std::uint32_t mod(std::uint32_t x) const {
+    const std::uint64_t low = magic * x;
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(low) * d) >> 64);
+  }
+};
+
+/// One grid size's lane block: its index-translation geometry and where
+/// its SoA tag/stamp state lives inside the stream's arrays.
+struct LaneGeom {
+  FastMod total;        // virtual total sets of this point's uniform plan
+  FastMod client_sets;  // this stream's exclusive sets at this point
+  std::size_t base = 0;  // offset of this lane's block in tags/stamps
+};
+
+/// Everything one stream pass needs, SoA. The tag encoding: a way holds
+/// `line_of(addr)/line_bytes + 1`, 0 = invalid — so the "which way
+/// matches" and "first invalid way" probes are the SAME scan with
+/// needle = tag resp. 0. Dirty bits and owners are not modeled: per
+/// mem::SetAssocCache::kOutcomeStateIsTagsStampsCounters they cannot
+/// influence a hit/miss outcome, and outcomes are all replay consumes.
+struct StreamCtx {
+  const ClientTrace* stream = nullptr;
+  bool count_issuers = true;  // false for scheduler clients
+  std::uint32_t ways = 0;
+  mem::Replacement replacement = mem::Replacement::kLru;
+  bool write_allocate = true;  // false = kWriteThroughNoAllocate
+  std::uint64_t l2_seed = 0;
+  std::uint64_t client_key = 0;
+  /// line_bytes rescale of a foreign-granularity capture (tags must match
+  /// SetAssocCache::line_of exactly); both are equal in practice.
+  std::uint32_t trace_line_bytes = 64;
+  std::uint32_t l2_line_bytes = 64;
+
+  std::vector<LaneGeom> lanes;  // one per grid point
+
+  /// Dense task-slot table: position in CaptureRun::tasks, resolved on
+  /// task-change events only; ids not in the table use the trailing
+  /// trash slot (their demand misses are never read back).
+  std::vector<TaskId> slot_ids;
+
+  // State + output arrays, owned by replay_stream (tags/stamps live for
+  // one pass; the counters are MultiReplay's and persist for fragment
+  // assembly).
+  std::uint64_t* tags = nullptr;      // [all lane blocks], 0 = invalid
+  std::uint64_t* stamps = nullptr;    // [all lane blocks]
+  std::uint64_t* rand_seq = nullptr;  // [lanes] kRandom counters
+  std::uint64_t* misses = nullptr;    // [lanes]
+  std::uint64_t* demand = nullptr;    // [(slot_ids.size()+1) * lanes]
+};
+
+/// First way of a set whose tag equals `needle`, or -1 (the way
+/// SetAssocCache::find would report).
+int find_way(const std::uint64_t* tags, std::uint32_t ways,
+             std::uint64_t needle) {
+  for (std::uint32_t w = 0; w < ways; ++w)
+    if (tags[w] == needle) return static_cast<int>(w);
+  return -1;
+}
+
+/// The fused hot loop: decode the stream ONCE, push every event through
+/// every lane.
+///
+/// Bit-identity invariants mirrored from mem::SetAssocCache::access_at
+/// (any deviation breaks the MissProfile::identical safety net):
+///  * the access tick pre-increments per event and is SHARED by all
+///    lanes — a standalone per-size cache sees exactly this stream, so
+///    its tick sequence is the event ordinal;
+///  * hits refresh the stamp under LRU only;
+///  * a write miss under kWriteThroughNoAllocate counts but does not
+///    allocate (and does not consume a kRandom draw);
+///  * victim choice prefers the FIRST invalid way, then LRU/FIFO argmin
+///    with strict < (stamps are unique, ties impossible), then the
+///    counter-based kRandom stream (mem::SetAssocCache::random_victim_way
+///    — the counter advances per replacement, per lane).
+void run_stream(StreamCtx& ctx) {
+  const std::uint32_t ways = ctx.ways;
+  const std::size_t nlanes = ctx.lanes.size();
+  const std::size_t trash_slot = ctx.slot_ids.size();
+  const bool lru = ctx.replacement == mem::Replacement::kLru;
+  const bool random = ctx.replacement == mem::Replacement::kRandom;
+  const bool rescale = ctx.trace_line_bytes != ctx.l2_line_bytes;
+
+  std::uint64_t tick = 0;
+  TaskId cur_task = kInvalidTask;
+  std::size_t cur_slot = trash_slot;
+
+  auto rd = ctx.stream->reader();
+  TraceEvent ev;
+  while (rd.next(ev)) {
+    ++tick;
+    // Tag = canonical line index + 1 (0 stays the invalid sentinel). A
+    // capture at a foreign line granularity is collapsed through the same
+    // arithmetic as SetAssocCache::line_of.
+    const std::uint64_t tag =
+        (rescale ? ev.line_index * ctx.trace_line_bytes / ctx.l2_line_bytes
+                 : ev.line_index) +
+        1;
+    const bool no_alloc =
+        ev.type == AccessType::kWrite && !ctx.write_allocate;
+    const bool count_demand = ctx.count_issuers && !ev.l1_writeback;
+    if (ev.task != cur_task) {
+      cur_task = ev.task;
+      cur_slot = trash_slot;
+      for (std::size_t s = 0; s < ctx.slot_ids.size(); ++s)
+        if (ctx.slot_ids[s] == cur_task) {
+          cur_slot = s;
+          break;
+        }
+    }
+    // The index chain works on 32-bit values (FastMod); line indices
+    // above 2^32 would need the slow path, but a capture's line index is
+    // bounded by the simulated address space (far below 2^32) — guarded
+    // here so the claim is checked, not assumed.
+    const bool fast = ev.line_index <= 0xFFFFFFFFull;
+    const auto line32 = static_cast<std::uint32_t>(ev.line_index);
+
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      const LaneGeom& g = ctx.lanes[l];
+      const std::uint32_t idx =
+          fast ? g.client_sets.mod(g.total.mod(line32))
+               : static_cast<std::uint32_t>((ev.line_index % g.total.d) %
+                                            g.client_sets.d);
+      std::uint64_t* tags = ctx.tags + g.base +
+                            static_cast<std::size_t>(idx) * ways;
+      std::uint64_t* stamps = ctx.stamps + g.base +
+                              static_cast<std::size_t>(idx) * ways;
+      const int hit_way = find_way(tags, ways, tag);
+      if (hit_way >= 0) {
+        if (lru) stamps[hit_way] = tick;
+        continue;
+      }
+      ++ctx.misses[l];
+      if (count_demand) ++ctx.demand[cur_slot * nlanes + l];
+      if (no_alloc) continue;  // write-through no-allocate: nothing cached
+      int victim = find_way(tags, ways, 0);  // first invalid way
+      if (victim < 0) {
+        if (random) {
+          victim = static_cast<int>(mem::SetAssocCache::random_victim_way(
+              ctx.l2_seed, ctx.client_key, ctx.rand_seq[l]++, ways));
+        } else {  // kLru / kFifo: first way with the minimal stamp
+          victim = 0;
+          for (std::uint32_t w = 1; w < ways; ++w)
+            if (stamps[w] < stamps[victim]) victim = static_cast<int>(w);
+        }
+      }
+      tags[victim] = tag;
+      stamps[victim] = tick;
+    }
+  }
+}
 
 /// Plan entry of `client` in `plan`, or the replay_fragment error.
 const PlanEntry& entry_for(const PartitionPlan& plan, mem::ClientId client) {
@@ -93,7 +226,7 @@ void MultiReplay::replay_stream(std::size_t s) {
   assert(s < num_streams());
   const ClientTrace& stream = capture_->trace.streams[s];
 
-  detail::StreamCtx ctx;
+  StreamCtx ctx;
   ctx.stream = &stream;
   ctx.count_issuers = !capture_->is_scheduler_client(stream.client());
   ctx.ways = l2_.ways;
@@ -108,14 +241,13 @@ void MultiReplay::replay_stream(std::size_t s) {
   ctx.lanes.reserve(points_.size());
   std::size_t slots = 0;
   for (std::size_t p = 0; p < points_.size(); ++p) {
-    detail::LaneGeom g;
-    g.total = detail::FastMod::make(std::max(points_[p].plan->total_sets, 1u));
-    g.client_sets = detail::FastMod::make(client_sets_[s][p]);
+    LaneGeom g;
+    g.total = FastMod::make(std::max(points_[p].plan->total_sets, 1u));
+    g.client_sets = FastMod::make(client_sets_[s][p]);
     g.base = slots;
     slots += static_cast<std::size_t>(client_sets_[s][p]) * l2_.ways;
     ctx.lanes.push_back(g);
   }
-  ctx.state_slots = slots;
 
   std::vector<std::uint64_t> tags(slots, 0);
   std::vector<std::uint64_t> stamps(slots, 0);
@@ -126,11 +258,7 @@ void MultiReplay::replay_stream(std::size_t s) {
   ctx.misses = misses_[s].data();
   ctx.demand = demand_[s].data();
 
-  switch (kernel_) {
-    case ReplayKernel::kAvx2: detail::run_stream_avx2(ctx); break;
-    case ReplayKernel::kSse4: detail::run_stream_sse4(ctx); break;
-    default: detail::run_stream_scalar(ctx); break;
-  }
+  run_stream(ctx);
 }
 
 std::vector<ProfileFragment> MultiReplay::fragments(Cycle surcharge) const {

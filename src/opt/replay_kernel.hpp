@@ -13,23 +13,19 @@
 // compare), a per-lane kRandom replacement counter, per-lane miss
 // counters and a per-(task-slot, lane) demand-miss matrix.
 //
-// Bit-identity contract: every kernel variant produces fragments whose
-// fold is MissProfile::identical to the per-size path's, because the
-// kernel replicates mem::SetAssocCache outcome semantics exactly (see
-// replay_kernel_impl.hpp for the invariant list) and only outcome state
-// is modeled — per SetAssocCache::kOutcomeStateIsTagsStampsCounters,
-// dirty bits, owners and the cold-miss table cannot change a hit/miss.
-// tests/test_replay_kernel.cpp pins this for every variant, scenario and
-// worker count.
+// Bit-identity contract: the fused kernel produces fragments whose fold
+// is MissProfile::identical to the per-size path's, because it
+// replicates mem::SetAssocCache outcome semantics exactly (see
+// run_stream in replay_kernel.cpp for the invariant list) and only
+// outcome state is modeled — per
+// SetAssocCache::kOutcomeStateIsTagsStampsCounters, dirty bits, owners
+// and the cold-miss table cannot change a hit/miss.
+// tests/test_replay_kernel.cpp pins this for every scenario and worker
+// count against the per-size reference (ReplayKernel::kPerSize).
 //
-// ISA dispatch: the inner "find matching way" probe is data-parallel over
-// ways, so the kernel ships three bodies — portable scalar, SSE4.1
-// (2 tags/compare) and AVX2 (4 tags/compare) — compiled in per-ISA TUs
-// (QSVEnc-style; CMakeLists.txt adds -msse4.2 / -mavx2 to just those
-// files) and selected at RUNTIME via common::available_simd(). A binary
-// built on x86 therefore runs the best path its host CPU supports and
-// still runs (scalar) anywhere else; -DCMS_FORCE_SCALAR=ON pins every
-// probe and dispatch decision to scalar for sanitizer runs.
+// One body: the way scan is a plain scalar loop over the set's ways.
+// Wider tag compares were measured on evaluation-size captures and did
+// not pay for themselves, so there is no ISA dispatch.
 #pragma once
 
 #include <cstddef>
@@ -46,20 +42,10 @@
 
 namespace cms::opt {
 
-/// Does this binary carry a real SSE4.1 / AVX2 kernel body? False when
-/// the per-ISA TU was compiled without its -m flag (non-x86 target) or
-/// under CMS_FORCE_SCALAR — the symbols still link, as scalar aliases.
-bool have_sse4_kernel();
-bool have_avx2_kernel();
-
-/// Map a requested kernel to the one that will actually execute:
-/// kAuto picks the best fused variant the build AND the executing CPU
-/// support (avx2 > sse4 > scalar); an explicit SIMD request that the
-/// build or CPU cannot honor degrades to kScalar (silently — output is
-/// bit-identical either way, so the only observable difference is
-/// wall-clock; callers that care echo the resolved kernel, e.g. the
-/// `kernel` field of bench/service JSON). kScalar and kPerSize resolve
-/// to themselves.
+/// Map a requested kernel to the one that will actually execute: kAuto
+/// is the fused kernel (kScalar); kScalar and kPerSize resolve to
+/// themselves. Callers echo the resolved kernel, e.g. the `kernel` field
+/// of bench/service JSON.
 ReplayKernel resolve_replay_kernel(ReplayKernel requested);
 
 /// One grid point of a fused replay: the uniform isolation plan of that
@@ -99,7 +85,7 @@ class MultiReplay {
   /// point's plan; throws std::invalid_argument (same message as
   /// replay_fragment) otherwise. `kernel` is resolved via
   /// resolve_replay_kernel; kPerSize is not meaningful here and runs the
-  /// fused scalar body.
+  /// fused kernel.
   MultiReplay(const CaptureRun& capture, std::vector<ReplayGridPoint> points,
               const mem::CacheConfig& l2, std::uint64_t l2_seed,
               ReplayKernel kernel);

@@ -210,9 +210,9 @@ struct PlanResponse {
   std::uint32_t union_points = 0;
 
   /// Replay engine that produced the profile, RESOLVED to what actually
-  /// executed ("avx2", "sse4", "scalar" or "persize" — never "auto"), or
-  /// "cache" when the response came from the plan cache and no replay ran
-  /// at all. Provenance only: kernels are bit-identical by contract, so
+  /// executed ("scalar" or "persize" — never "auto"), or "cache" when
+  /// the response came from the plan cache and no replay ran at all.
+  /// Provenance only: kernels are bit-identical by contract, so
   /// cached entries are kernel-independent (bench/micro_plan_service
   /// asserts a cache hit matches a response computed under a DIFFERENT
   /// kernel bit-for-bit).

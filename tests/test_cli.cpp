@@ -6,6 +6,7 @@
 // float validation) and the --service-clients thread-count sanity bound.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/cli.hpp"
@@ -91,8 +92,6 @@ TEST(ParseReplayKernel, AcceptsAllEngines) {
   EXPECT_EQ(kernel_of({"--replay-kernel", "auto"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel=scalar"}),
             opt::ReplayKernel::kScalar);
-  EXPECT_EQ(kernel_of({"--replay-kernel", "sse4"}), opt::ReplayKernel::kSse4);
-  EXPECT_EQ(kernel_of({"--replay-kernel=avx2"}), opt::ReplayKernel::kAvx2);
   EXPECT_EQ(kernel_of({"--replay-kernel", "persize"}),
             opt::ReplayKernel::kPerSize);
 }
@@ -104,6 +103,19 @@ TEST(ParseReplayKernel, DefaultAndBadValues) {
   EXPECT_EQ(kernel_of({"--replay-kernel=avx512"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel"}), opt::ReplayKernel::kAuto);
   EXPECT_EQ(kernel_of({"--replay-kernel=AVX2"}), opt::ReplayKernel::kAuto);
+  // Engines that no longer exist warn and keep the default (kPerSize here,
+  // so a silent mapping onto the fused kernel would show).
+  for (const char* removed : {"--replay-kernel=sse4", "--replay-kernel=avx2"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(kernel_of({removed}, opt::ReplayKernel::kPerSize),
+              opt::ReplayKernel::kPerSize)
+        << removed;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "ignoring bad --replay-kernel value"),
+              std::string::npos)
+        << removed;
+  }
+  EXPECT_EQ(kernel_of({"--replay-kernel", "sse4"}), opt::ReplayKernel::kAuto);
 }
 
 PlanCacheMode plan_cache_of(std::vector<const char*> args,

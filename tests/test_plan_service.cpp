@@ -114,6 +114,8 @@ TEST(PlanService, SecondRequestHitsTheStoreAndSkipsCapture) {
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.captured(), 1u);
   EXPECT_EQ(captures.load(), 1);
+  // No plan cache, default kernel: a fresh replay by the fused kernel.
+  EXPECT_EQ(first.replay_kernel, "scalar");
 
   const PlanResponse second = service.plan(req);
   ASSERT_TRUE(second.ok) << second.error;

@@ -1,11 +1,11 @@
 // Tests for the fused multi-size replay kernel (opt/replay_kernel.hpp):
-// bit-identity of every kernel variant — scalar, SSE4, AVX2 and the
-// auto-dispatched one — against the per-size reference replay, over the
+// bit-identity of the fused kernel — requested as scalar and as the auto
+// default — against the per-size reference replay, over the
 // built-in scenarios (LRU, counter-based kRandom, the dense 64-point
 // grid) and at several campaign worker counts; synthetic captures pin
 // the FIFO and write-through-no-allocate cache paths, the non-power-of-2
 // set counts the Lemire fast-mod handles, and the trace-to-L2 line-size
-// rescale; plus the runtime dispatch rules themselves.
+// rescale; plus the kernel resolution rules themselves.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "core/scenario.hpp"
 #include "opt/replay_kernel.hpp"
 #include "opt/trace.hpp"
@@ -22,12 +21,9 @@
 namespace cms::opt {
 namespace {
 
-// Every fused engine, including the auto dispatcher. Explicit SIMD
-// requests degrade to scalar on hosts without the ISA, so the list is
-// valid (and the identity checks meaningful) on any machine.
-const ReplayKernel kFusedKernels[] = {
-    ReplayKernel::kScalar, ReplayKernel::kSse4, ReplayKernel::kAvx2,
-    ReplayKernel::kAuto};
+// Every request that runs the fused kernel: by name and the auto default.
+const ReplayKernel kFusedKernels[] = {ReplayKernel::kScalar,
+                                      ReplayKernel::kAuto};
 
 // ---- built-in scenarios: fused engines vs the per-size reference ----
 
@@ -236,38 +232,21 @@ TEST(ReplayKernelSynthetic, UnplannedClientThrows) {
                std::invalid_argument);
 }
 
-// ---- runtime dispatch ----
+// ---- kernel resolution ----
 
 TEST(ReplayKernelDispatch, ResolveRules) {
-  // Fixed points: scalar and the legacy per-size engine resolve to
-  // themselves regardless of the host.
+  // The same on every host: auto is the fused kernel, the named engines
+  // resolve to themselves.
+  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAuto), ReplayKernel::kScalar);
   EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kScalar),
             ReplayKernel::kScalar);
   EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kPerSize),
             ReplayKernel::kPerSize);
-
-  const bool avx2 = have_avx2_kernel() && common::simd_has(common::kSimdAvx2);
-  const bool sse4 = have_sse4_kernel() &&
-                    common::simd_has(common::kSimdSse41 | common::kSimdSse42);
-
-  // Auto picks the widest available ISA.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAuto),
-            avx2 ? ReplayKernel::kAvx2
-                 : sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
-
-  // Explicit SIMD requests degrade to scalar (never sideways to another
-  // ISA) when the build or CPU lacks them.
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kAvx2),
-            avx2 ? ReplayKernel::kAvx2 : ReplayKernel::kScalar);
-  EXPECT_EQ(resolve_replay_kernel(ReplayKernel::kSse4),
-            sse4 ? ReplayKernel::kSse4 : ReplayKernel::kScalar);
 }
 
 TEST(ReplayKernelDispatch, KernelNames) {
   EXPECT_STREQ(to_string(ReplayKernel::kAuto), "auto");
   EXPECT_STREQ(to_string(ReplayKernel::kScalar), "scalar");
-  EXPECT_STREQ(to_string(ReplayKernel::kSse4), "sse4");
-  EXPECT_STREQ(to_string(ReplayKernel::kAvx2), "avx2");
   EXPECT_STREQ(to_string(ReplayKernel::kPerSize), "persize");
 }
 
