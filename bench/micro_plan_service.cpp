@@ -77,11 +77,11 @@ int main(int argc, char** argv) {
   }
   const std::string l2_target = bench::parse_store_l2_target(argc, argv);
   const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
-  const opt::TraceStore::Capacity capacity{
+  const opt::Capacity capacity{
       core::parse_service_budget_bytes(argc, argv),
       core::parse_service_budget_entries(argc, argv)};
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
+  const opt::Capacity cache_budget{
       core::parse_plan_cache_budget_bytes(argc, argv),
       core::parse_plan_cache_budget_entries(argc, argv)};
 

@@ -215,7 +215,7 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
     return 1;
   }
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
+  const opt::Capacity cache_budget{
       core::parse_plan_cache_budget_bytes(argc, argv),
       core::parse_plan_cache_budget_entries(argc, argv)};
 

@@ -292,7 +292,7 @@ std::string stats_json(const svc::PlanningService& service,
 }
 
 std::string gc_json(svc::PlanningService& service) {
-  const opt::TraceStore::GcResult gr = service.gc();
+  const opt::GcResult gr = service.gc();
   return format("{\"ok\": true, \"evicted_entries\": %llu, "
                 "\"evicted_bytes\": %llu}",
                 static_cast<unsigned long long>(gr.evicted_entries),
@@ -364,11 +364,11 @@ int main(int argc, char** argv) {
   }
   const std::string l2_target = core::parse_store_l2_target(argc, argv);
   const core::StoreL2Mode l2 = core::parse_store_l2(argc, argv);
-  const opt::TraceStore::Capacity capacity{
+  const opt::Capacity capacity{
       core::parse_service_budget_bytes(argc, argv),
       core::parse_service_budget_entries(argc, argv)};
   const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::TraceStore::Capacity cache_budget{
+  const opt::Capacity cache_budget{
       core::parse_plan_cache_budget_bytes(argc, argv),
       core::parse_plan_cache_budget_entries(argc, argv)};
   const bool socket_mode = core::has_value_flag(argc, argv, "--port");

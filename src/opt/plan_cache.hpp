@@ -19,17 +19,26 @@
 //     directory as the trace store's .cmstrace entries, but any backend
 //     (mem, tiered) composes. The format is a versioned magic + FNV-1a
 //     trailer (below); DirBackend publishes via temp file + atomic
-//     rename. Warm plans survive the process; an entry another process
-//     pruned mid-read is a MISS, a corrupt or mislabeled one THROWS.
-//     Stale entries cannot be served at all: the PlanKey digest includes
-//     the schema version and every planning input, so any change
-//     addresses a different blob (invalidation by addressing, exactly
-//     like the trace store).
+//     rename. Warm plans survive the process; reads go through the
+//     backend's one verified load (opt::load_verified), so an entry
+//     another process pruned mid-read is a MISS and a corrupt or
+//     mislabeled one THROWS. Stale entries cannot be served at all: the
+//     PlanKey digest includes the schema version and every planning
+//     input, so any change addresses a different blob (invalidation by
+//     addressing, exactly like the trace store).
+//
+// Each tier's budget is one opt::BudgetedIndex (opt/budgeted_index.hpp),
+// the same LRU index the trace store composes. A get() is a use of the
+// plan in BOTH tiers: a memory hit also freshens the key's disk slot, so
+// the disk budget never evicts the hottest plan first.
 //
 // Thread-safety: get()/put()/gc()/stats() are safe from any number of
 // threads. Counters are lock-free atomics mirroring TraceStore::Stats;
-// one mutex guards the two LRU indexes and is never held across file
-// I/O except during disk-tier eviction removals (the trace store's rule).
+// one mutex guards both indexes and the memory tier, and is never held
+// across file I/O except during disk-tier eviction removals (the trace
+// store's rule). A put()'s write and a get()'s read pin their key in the
+// disk index while in flight, so a racing eviction cannot leave the index
+// counting a blob it just deleted.
 #pragma once
 
 #include <atomic>
@@ -41,10 +50,10 @@
 #include <string>
 #include <vector>
 
+#include "opt/budgeted_index.hpp"
 #include "opt/planner.hpp"
 #include "opt/profile.hpp"
 #include "opt/store_backend.hpp"
-#include "opt/trace_store.hpp"
 
 namespace cms::opt {
 
@@ -122,14 +131,6 @@ PlanCacheEntry decode_plan_entry(const std::uint8_t* data, std::size_t size,
                                  const std::string& context,
                                  std::string* digest = nullptr);
 
-/// File round trip (temp file + atomic rename on save, like
-/// save_capture); both throw std::runtime_error with the path on I/O or
-/// format errors.
-void save_plan_entry(const PlanCacheEntry& entry, std::string_view digest,
-                     const std::string& path);
-PlanCacheEntry load_plan_entry(const std::string& path,
-                               std::string* digest = nullptr);
-
 class PlanCache {
  public:
   struct Config {
@@ -145,11 +146,11 @@ class PlanCache {
     bool read_only = false;
     /// Tier-1 (in-memory) budget; 0 = unlimited. Bytes are the entries'
     /// encoded sizes.
-    TraceStore::Capacity memory;
+    Capacity memory;
     /// Tier-2 (persistent) budget over the .cmsplan blobs; 0 =
     /// unlimited. LRU order is seeded from the backend's stalest-first
     /// listing on open, like the store.
-    TraceStore::Capacity disk;
+    Capacity disk;
   };
 
   /// Counters mirror TraceStore::Stats: hits/misses/inserts are
@@ -207,27 +208,16 @@ class PlanCache {
   void put(const std::string& digest, PlanCacheEntry entry);
 
   /// Enforce both budgets now; returns what was evicted (both tiers).
-  TraceStore::GcResult gc();
+  GcResult gc();
 
   Stats stats() const;
 
  private:
-  struct MemEntry {
-    std::shared_ptr<const PlanCacheEntry> entry;
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
-  struct DiskEntry {
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
-
   void insert_mem_locked(const std::string& digest,
                          std::shared_ptr<const PlanCacheEntry> entry,
                          std::uint64_t bytes);
-  TraceStore::GcResult enforce_mem_budget_locked();
-  TraceStore::GcResult enforce_disk_budget_locked();
-  std::string context_of(const std::string& digest) const;
+  GcResult enforce_mem_budget_locked();
+  GcResult enforce_disk_budget_locked();
 
   Config cfg_;
 
@@ -236,17 +226,11 @@ class PlanCache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> disk_writes_{0};
-  std::atomic<std::uint64_t> mem_evictions_{0};
-  std::atomic<std::uint64_t> mem_evicted_bytes_{0};
-  std::atomic<std::uint64_t> disk_evictions_{0};
-  std::atomic<std::uint64_t> disk_evicted_bytes_{0};
 
-  mutable std::mutex mu_;  // guards mem_, disk_, clock_, *_bytes_total_
-  std::map<std::string, MemEntry> mem_;
-  std::map<std::string, DiskEntry> disk_;
-  std::uint64_t clock_ = 0;
-  std::uint64_t mem_bytes_total_ = 0;
-  std::uint64_t disk_bytes_total_ = 0;
+  mutable std::mutex mu_;  // guards mem_, mem_index_, disk_index_
+  std::map<std::string, std::shared_ptr<const PlanCacheEntry>> mem_;
+  BudgetedIndex mem_index_;
+  BudgetedIndex disk_index_;
 };
 
 }  // namespace cms::opt

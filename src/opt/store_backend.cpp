@@ -22,6 +22,40 @@ const char* blob_extension(BlobKind kind) {
   return "";
 }
 
+std::optional<std::uint64_t> load_verified(StoreBackend& backend,
+                                           BlobKind kind,
+                                           const std::string& digest,
+                                           const BlobDecoder& decode) {
+  std::string context = backend.path_of(kind, digest);
+  if (context.empty())
+    context = backend.describe() + ":" + digest + blob_extension(kind);
+  std::string stored_digest;
+  std::uint64_t bytes = 0;
+  for (int attempt = 0;; ++attempt) {
+    bool fetched = false;
+    try {
+      const std::optional<StoreBackend::Blob> blob = backend.get(kind, digest);
+      if (!blob) return std::nullopt;
+      fetched = true;
+      stored_digest = decode(*blob, context);
+      bytes = blob->size();
+      break;
+    } catch (const std::runtime_error&) {
+      // The backend already reports a vanished entry as nullopt, so a get
+      // that throws found the entry present. A decode failure with the
+      // entry gone again is the eviction race resolving to a miss.
+      if (fetched && !backend.contains(kind, digest)) return std::nullopt;
+      if (attempt == 0) continue;
+      throw;
+    }
+  }
+  // The digest inside the blob must match the name it was addressed by.
+  if (stored_digest != digest)
+    throw std::runtime_error(context + ": stored digest " + stored_digest +
+                             " does not match requested " + digest);
+  return bytes;
+}
+
 // ---- DirBackend ----
 
 DirBackend::DirBackend(std::string dir, bool create)

@@ -7,10 +7,12 @@
 // digest content-addresses everything the blob depends on (the stores
 // compose it), so entries are never mutated in place: concurrent writers
 // of one key produce identical bytes and either atomic rename winning is
-// correct. The backend deals in RAW bytes only — format encoding,
-// digest verification, LRU policy, budgets, pins and hit/miss counters
-// all stay in TraceStore / PlanCache. What moves down here is the
-// storage contract:
+// correct. The backend deals in RAW bytes only — format encoding, LRU
+// policy, budgets, pins and hit/miss counters stay above it (the codecs
+// and counters in TraceStore / PlanCache, the budget in
+// opt::BudgetedIndex). What moves down here is the storage contract,
+// plus load_verified(), the one retry-and-verify read both stores make
+// over it:
 //
 //  * get()  — the blob's bytes, or nullopt when no entry exists
 //             (including one that vanished mid-read because a peer
@@ -53,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -136,6 +139,26 @@ class StoreBackend {
     return std::nullopt;
   }
 };
+
+/// Parses one blob, throwing std::runtime_error (prefixed with `context`,
+/// the entry's path or a backend-and-digest label) on malformed bytes, and
+/// returns the digest embedded in it.
+using BlobDecoder = std::function<std::string(const StoreBackend::Blob& blob,
+                                              const std::string& context)>;
+
+/// The one verified load over the contract above, shared by the trace
+/// store and the plan cache: get -> decode -> retry once -> digest check.
+/// Returns the blob's size on a hit and nullopt on a miss — an absent
+/// entry, or one that vanished mid-read because a peer evicted it. An
+/// entry that fails to read or decode while still present is retried
+/// once: the first failure may be an evict-then-resave race, and entries
+/// are immutable per digest, so a successful reread is the same value. A
+/// second failure is real corruption and is rethrown; a stored digest
+/// other than `digest` (a renamed or hand-copied entry) throws too.
+std::optional<std::uint64_t> load_verified(StoreBackend& backend,
+                                           BlobKind kind,
+                                           const std::string& digest,
+                                           const BlobDecoder& decode);
 
 /// The historical flat-directory layout: <digest><extension> files,
 /// atomic temp+rename writes. Stateless — any number of DirBackends

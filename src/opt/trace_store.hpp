@@ -20,47 +20,48 @@
 //   else { capture = run_instrumented(); store.save(digest, capture); }
 //
 // Capacity management (the planning service's long-running stores): a
-// byte/entry budget with LRU eviction. The store keeps an in-memory index
-// of every entry's size and last use (seeded from the directory at
-// construction, ordered by file mtime); save() and gc() delete the
-// least-recently-used entries until the budget holds again. Entries PINNED
-// by in-flight requests (pin(), RAII Pin handle, refcounted) are never
-// evicted BY THIS INSTANCE — if only pinned entries remain, the store
-// stays over budget rather than corrupt a capture someone is using. A pin
-// names a digest, not a file: pinning before the entry exists is legal
-// and protects the entry from the moment it is saved. Pins are
-// per-instance state: another process (or another TraceStore over the
-// same directory) enforcing its own budget may still delete the file —
-// that degrades to a miss + re-capture on this side (see load() below),
-// never to corruption.
+// byte/entry budget with LRU eviction, held by one opt::BudgetedIndex
+// (opt/budgeted_index.hpp — the same index each plan-cache tier
+// composes). The index is seeded from the backend's stalest-first listing
+// at construction; save() and gc() evict the least-recently-used entries
+// until the budget holds again. Entries PINNED by in-flight requests
+// (pin(), RAII Pin handle, refcounted) are never evicted BY THIS INSTANCE
+// — if only pinned entries remain, the store stays over budget rather
+// than corrupt a capture someone is using. A pin names a digest, not a
+// file: pinning before the entry exists is legal and protects the entry
+// from the moment it is saved. Pins are per-instance state: another
+// process (or another TraceStore over the same directory) enforcing its
+// own budget may still delete the file — that degrades to a miss +
+// re-capture on this side (see load() below), never to corruption.
 //
 // Thread-safety: every member is thread- and process-safe. Writes go
 // through a temp file + atomic rename (concurrent writers of the same
 // digest produce identical content, so either rename winning is correct);
 // a load that finds the file vanished mid-read — another thread or
-// process evicted it — reports a MISS, never an error. The hit/miss/
-// write/eviction counters are atomic (lock-free, TSan-clean); the LRU
-// index and pin table share one mutex that is never held across file I/O
-// except during eviction deletes and the re-stat of entries whose size
-// could not be determined when they were indexed.
+// process evicted it — reports a MISS, never an error. The hit/miss/write
+// counters are atomic (lock-free, TSan-clean); the index (with its pins
+// and eviction totals) sits behind one mutex that is never held across
+// file I/O except during eviction deletes and the re-stat of entries
+// whose size could not be determined when they were indexed.
 //
 // Storage: all blob I/O and reopen indexing go through an
-// opt::StoreBackend (opt/store_backend.hpp). The directory constructors
+// opt::StoreBackend (opt/store_backend.hpp), and every read through its
+// one verified load, opt::load_verified. The directory constructors
 // build a DirBackend (bit-compatible with the historical layout); the
 // backend constructor composes anything else — a MemBackend for
 // ephemeral stores, a TieredBackend for a local L1 over a fleet-shared
 // L2 (whose per-tier counters surface through Stats::tiers). The store
-// keeps the semantics: digest verification, LRU/budget/pins, counters.
+// itself keeps only the capture codec and its counters.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 
+#include "opt/budgeted_index.hpp"
 #include "opt/store_backend.hpp"
 #include "opt/trace.hpp"
 
@@ -80,22 +81,6 @@ class TraceStore {
     /// Per-tier backend counters; nullopt unless the store sits on a
     /// TieredBackend.
     std::optional<StoreBackend::TierCounters> tiers;
-  };
-
-  /// Byte/entry budget of a read-write store; 0 means unlimited. Enforced
-  /// after every save() and on demand by gc() — never below what the
-  /// pinned entries occupy.
-  struct Capacity {
-    std::uint64_t max_bytes = 0;
-    std::uint64_t max_entries = 0;
-
-    bool unlimited() const { return max_bytes == 0 && max_entries == 0; }
-  };
-
-  /// What one eviction pass (gc() or a post-save enforcement) removed.
-  struct GcResult {
-    std::uint64_t evicted_entries = 0;
-    std::uint64_t evicted_bytes = 0;
   };
 
   /// Keeps a digest's entry resident while alive (refcounted; move-only).
@@ -140,7 +125,9 @@ class TraceStore {
   const std::string& dir() const { return dir_; }
   const std::shared_ptr<StoreBackend>& backend() const { return backend_; }
   bool read_only() const { return read_only_; }
-  const Capacity& capacity() const { return capacity_; }
+  /// Byte/entry budget of a read-write store (read-only stores never
+  /// evict).
+  const Capacity& capacity() const { return index_.capacity(); }
 
   /// Path an entry for `digest` would live at (bench reporting, tests);
   /// "" over a pathless (memory) backend.
@@ -176,42 +163,18 @@ class TraceStore {
   Stats stats() const;
 
  private:
-  struct Entry {
-    /// On-disk size; 0 means UNKNOWN (the stat at index time failed —
-    /// e.g. a concurrent eviction raced it). Unknown sizes are re-statted
-    /// by the next touch that stats successfully and, in bulk, by
-    /// restat_unknown_locked() before any budget decision, so the byte
-    /// accounting converges instead of freezing at an undercount.
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;  // logical clock, larger = more recent
-  };
-
-  void touch_locked(const std::string& digest, std::uint64_t bytes) const;
-  void erase_locked(const std::string& digest) const;
-  void restat_unknown_locked() const;
-  GcResult enforce_budget_locked() const;
   void unpin(const std::string& digest) const;
-  /// Error-message context for decode failures: the entry's path when
-  /// the backend has one, otherwise a digest-based label.
-  std::string context_of(const std::string& digest) const;
 
   std::shared_ptr<StoreBackend> backend_;
   std::string dir_;  // "" when constructed over a pathless backend
   bool read_only_;
-  Capacity capacity_;
 
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> writes_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> evicted_bytes_{0};
 
-  mutable std::mutex mu_;  // guards entries_, pins_, clock_, bytes_total_
-  mutable std::map<std::string, Entry> entries_;
-  mutable std::map<std::string, std::uint32_t> pins_;  // digest -> refcount
-  mutable std::uint64_t clock_ = 0;
-  mutable std::uint64_t bytes_total_ = 0;
-  mutable std::uint64_t unknown_sizes_ = 0;  // entries with bytes == 0
+  mutable std::mutex mu_;  // guards index_
+  mutable BudgetedIndex index_;
 };
 
 }  // namespace cms::opt

@@ -642,10 +642,10 @@ void PlanningService::run_request(const core::Experiment& exp,
   resp.ok = true;
 }
 
-opt::TraceStore::GcResult PlanningService::gc() {
-  opt::TraceStore::GcResult out = store_->gc();
+opt::GcResult PlanningService::gc() {
+  opt::GcResult out = store_->gc();
   if (cfg_.plan_cache != nullptr) {
-    const opt::TraceStore::GcResult pc = cfg_.plan_cache->gc();
+    const opt::GcResult pc = cfg_.plan_cache->gc();
     out.evicted_entries += pc.evicted_entries;
     out.evicted_bytes += pc.evicted_bytes;
   }
@@ -675,7 +675,7 @@ opt::PlanCache::Stats PlanningService::plan_cache_stats() const {
 
 std::shared_ptr<opt::TraceStore> open_service_store(
     const std::string& dir, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity) {
+    opt::Capacity capacity) {
   // Mirrors core::open_trace_store (which stays capacity-free so
   // experiment.hpp needs no TraceStore definition); keep the empty-dir /
   // kOff semantics of the two in sync.
@@ -686,7 +686,7 @@ std::shared_ptr<opt::TraceStore> open_service_store(
 
 std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity) {
+    opt::Capacity capacity) {
   if (backend == nullptr || mode == core::TraceMode::kOff) return nullptr;
   return std::make_shared<opt::TraceStore>(
       std::move(backend), mode == core::TraceMode::kReadOnly, capacity);
@@ -694,7 +694,7 @@ std::shared_ptr<opt::TraceStore> open_service_store(
 
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, const std::string& store_dir,
-    core::TraceMode trace_mode, opt::TraceStore::Capacity budget) {
+    core::TraceMode trace_mode, opt::Capacity budget) {
   if (mode == core::PlanCacheMode::kOff) return nullptr;
   opt::PlanCache::Config cfg;
   // The disk tier shares the trace store's directory; without a usable
@@ -711,7 +711,7 @@ std::shared_ptr<opt::PlanCache> open_plan_cache(
 
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, std::shared_ptr<opt::StoreBackend> backend,
-    core::TraceMode trace_mode, opt::TraceStore::Capacity budget) {
+    core::TraceMode trace_mode, opt::Capacity budget) {
   if (mode == core::PlanCacheMode::kOff) return nullptr;
   opt::PlanCache::Config cfg;
   // Tier 2 rides the trace store's backend — plans and captures share one

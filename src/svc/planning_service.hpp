@@ -329,7 +329,7 @@ class PlanningService {
   const std::shared_ptr<opt::TraceStore>& store() const { return store_; }
   opt::TraceStore::Stats store_stats() const { return store_->stats(); }
   /// Enforce the store's AND the plan cache's capacity budgets now.
-  opt::TraceStore::GcResult gc();
+  opt::GcResult gc();
   ServiceStats service_stats() const;
 
   /// The attached plan cache (null when memoization is off).
@@ -394,14 +394,14 @@ class PlanningService {
 /// capacity budget.
 std::shared_ptr<opt::TraceStore> open_service_store(
     const std::string& dir, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
+    opt::Capacity capacity = opt::Capacity());
 
 /// Same, over an explicit backend (e.g. a TieredBackend composed by
 /// core::open_store_backend, shared with the plan cache): null when
 /// `backend` is null or `mode` is kOff.
 std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
-    opt::TraceStore::Capacity capacity = opt::TraceStore::Capacity());
+    opt::Capacity capacity = opt::Capacity());
 
 /// Build a plan cache per the shared CLI flags (`--plan-cache`,
 /// `--plan-cache-budget-bytes/-entries` — see core/cli.hpp): null for
@@ -412,7 +412,7 @@ std::shared_ptr<opt::TraceStore> open_service_store(
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, const std::string& store_dir,
     core::TraceMode trace_mode,
-    opt::TraceStore::Capacity budget = opt::TraceStore::Capacity());
+    opt::Capacity budget = opt::Capacity());
 
 /// Same, with tier 2 over an explicit backend (typically the one the
 /// trace store sits on, so plans ride the same L1/L2 tiering): memory-only
@@ -420,6 +420,6 @@ std::shared_ptr<opt::PlanCache> open_plan_cache(
 std::shared_ptr<opt::PlanCache> open_plan_cache(
     core::PlanCacheMode mode, std::shared_ptr<opt::StoreBackend> backend,
     core::TraceMode trace_mode,
-    opt::TraceStore::Capacity budget = opt::TraceStore::Capacity());
+    opt::Capacity budget = opt::Capacity());
 
 }  // namespace cms::svc

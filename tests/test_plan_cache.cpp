@@ -196,12 +196,17 @@ TEST(PlanFormat, EncodeDecodeRoundTripsBitExactly) {
 }
 
 TEST(PlanFormat, FileRoundTripsAndLeavesNoTempFiles) {
+  // The one file path production code uses: DirBackend put/get + decode.
   TempDir tmp;
-  const std::string path = tmp.file("entry.cmsplan");
+  DirBackend dir(tmp.path.string());
   const PlanCacheEntry original = sample_entry();
-  save_plan_entry(original, "k", path);
+  dir.put(BlobKind::kPlan, "k", encode_plan_entry(original, "k"));
+  const auto blob = dir.get(BlobKind::kPlan, "k");
+  ASSERT_TRUE(blob.has_value());
   std::string digest;
-  const PlanCacheEntry loaded = load_plan_entry(path, &digest);
+  const PlanCacheEntry loaded =
+      decode_plan_entry(blob->data(), blob->size(),
+                        dir.path_of(BlobKind::kPlan, "k"), &digest);
   EXPECT_EQ(digest, "k");
   expect_identical(original, loaded);
   std::size_t files = 0;
@@ -254,11 +259,15 @@ TEST(PlanFormatFuzz, AppendedGarbageAndFileCorruptionAlwaysThrow) {
     EXPECT_THROW(decode_plan_entry(bytes.data(), bytes.size(), "<fuzz-app>"),
                  std::runtime_error);
   }
-  // Same property through the save/load file path (what the cache does).
+  // Same property through the disk tier's file path: a fresh cache (cold
+  // memory tier) must refuse the corrupted .cmsplan.
   TempDir tmp;
-  const std::string path = tmp.file("fuzz.cmsplan");
+  PlanCache::Config cfg;
+  cfg.dir = tmp.file("store");
+  PlanCache writer(cfg);
+  const std::string path = writer.path_of("k");
   for (int i = 0; i < 30; ++i) {
-    save_plan_entry(sample_entry(), "k", path);  // restore pristine
+    writer.put("k", sample_entry());  // restore pristine
     const auto size = fs::file_size(path);
     if (rng.chance(0.5)) {
       fs::resize_file(path, rng.below(size));  // strictly shorter
@@ -270,20 +279,25 @@ TEST(PlanFormatFuzz, AppendedGarbageAndFileCorruptionAlwaysThrow) {
       f.seekp(pos);
       f.put(static_cast<char>(orig ^ static_cast<int>(1 + rng.below(255))));
     }
-    EXPECT_THROW(load_plan_entry(path), std::runtime_error) << "round " << i;
+    PlanCache reader(cfg);
+    EXPECT_THROW(reader.get("k"), std::runtime_error) << "round " << i;
   }
 }
 
 TEST(PlanFormat, FutureSchemaVersionThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("future.cmsplan");
-  save_plan_entry(sample_entry(), "k", path);
+  PlanCache::Config cfg;
+  cfg.dir = tmp.file("store");
+  PlanCache writer(cfg);
+  writer.put("k", sample_entry());
+  const std::string path = writer.path_of("k");
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(8);  // version field sits right after the 8-byte magic
   f.put(99);
   f.close();
+  PlanCache reader(cfg);
   try {
-    load_plan_entry(path);
+    reader.get("k");
     FAIL() << "expected a version error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
@@ -451,6 +465,67 @@ TEST(PlanCacheDisk, DiskBudgetEvictsLruFiles) {
   EXPECT_NE(cache.get("a"), nullptr);
 }
 
+TEST(PlanCacheDisk, MemoryHitsKeepAPlanHotOnDisk) {
+  // A memory-tier hit is a use of the plan: the disk tier's LRU slot must
+  // move too, or the disk budget evicts the hottest plan first.
+  TempDir tmp;
+  PlanCache::Config cfg = disk_config(tmp);
+  cfg.disk.max_entries = 2;
+  PlanCache cache(cfg);
+  cache.put("a", sample_entry(0));
+  cache.put("b", sample_entry(1));
+  for (int i = 0; i < 5; ++i) ASSERT_NE(cache.get("a"), nullptr);
+  EXPECT_EQ(cache.stats().mem_hits, 5u);
+  cache.put("c", sample_entry(2));  // evicts b, the least recently used
+  EXPECT_TRUE(fs::exists(cache.path_of("a")));
+  EXPECT_FALSE(fs::exists(cache.path_of("b")));
+  EXPECT_TRUE(fs::exists(cache.path_of("c")));
+  EXPECT_EQ(cache.stats().disk_evictions, 1u);
+}
+
+TEST(PlanCacheDisk, FailedUnlinkKeepsTheEntryAccounted) {
+  // A failed removal (the entry's path is a NON-EMPTY directory, which
+  // unlinks with ENOTEMPTY) must not drop the index entry: the bytes are
+  // still on disk, and disk_evicted_bytes must not claim bytes that were
+  // never freed. Enforcement skips the victim and falls through to the
+  // next candidate instead.
+  TempDir tmp;
+  PlanCache::Config cfg = disk_config(tmp);
+  cfg.disk.max_entries = 1;
+  PlanCache cache(cfg);
+  cache.put("a", sample_entry(0));
+  const std::uint64_t a_bytes = cache.stats().disk_bytes;
+  ASSERT_GT(a_bytes, 0u);
+
+  fs::remove(cache.path_of("a"));
+  fs::create_directories(fs::path(cache.path_of("a")) / "sub");
+
+  cache.put("b", sample_entry(1));
+  const PlanCache::Stats st = cache.stats();
+  EXPECT_EQ(st.disk_entries, 1u);
+  EXPECT_EQ(st.disk_bytes, a_bytes);
+  EXPECT_EQ(st.disk_evictions, 1u);  // b, not a
+  EXPECT_TRUE(fs::exists(cache.path_of("a")));
+  EXPECT_FALSE(fs::exists(cache.path_of("b")));
+}
+
+TEST(PlanCacheDisk, AlreadyVanishedVictimIsNotCountedAsEvicted) {
+  TempDir tmp;
+  PlanCache::Config cfg = disk_config(tmp);
+  cfg.disk.max_entries = 1;
+  PlanCache cache(cfg);
+  cache.put("a", sample_entry(0));
+  fs::remove(cache.path_of("a"));  // another process pruned it already
+  cache.put("b", sample_entry(1));
+  // The index entry for "a" is dropped (resynced), but no eviction — and
+  // no freed bytes — are claimed for a file we never removed.
+  const PlanCache::Stats st = cache.stats();
+  EXPECT_EQ(st.disk_evictions, 0u);
+  EXPECT_EQ(st.disk_evicted_bytes, 0u);
+  EXPECT_EQ(st.disk_entries, 1u);
+  EXPECT_TRUE(fs::exists(cache.path_of("b")));
+}
+
 TEST(PlanCacheDisk, ReopenedCacheIndexesExistingEntries) {
   TempDir tmp;
   {
@@ -463,7 +538,7 @@ TEST(PlanCacheDisk, ReopenedCacheIndexesExistingEntries) {
   cfg.disk.max_entries = 2;
   PlanCache cache(cfg);
   EXPECT_EQ(cache.stats().disk_entries, 3u);  // indexed, over budget
-  const TraceStore::GcResult gr = cache.gc();
+  const GcResult gr = cache.gc();
   EXPECT_EQ(gr.evicted_entries, 1u);
   EXPECT_EQ(cache.stats().disk_entries, 2u);
 }
@@ -596,7 +671,7 @@ TEST_P(PlanCacheAnyBackend, ReopenedCacheIndexesExistingEntries) {
   cfg.disk.max_entries = 2;
   PlanCache cache(cfg);
   EXPECT_EQ(cache.stats().disk_entries, 3u);  // indexed, over budget
-  const TraceStore::GcResult gr = cache.gc();
+  const GcResult gr = cache.gc();
   EXPECT_EQ(gr.evicted_entries, 1u);
   EXPECT_EQ(cache.stats().disk_entries, 2u);
 }
@@ -711,12 +786,25 @@ TEST(PlanCacheStress, ConcurrentGetsPutsGcStayConsistent) {
   const PlanCache::Stats st = cache.stats();
   EXPECT_EQ(st.hits + st.misses, gets.load());
   EXPECT_EQ(st.inserts, puts.load());
+  EXPECT_EQ(st.evictions, st.mem_evictions + st.disk_evictions);
   cache.gc();
   EXPECT_LE(cache.stats().entries, 3u);
   EXPECT_LE(cache.stats().disk_entries, 4u);
   for (std::uint64_t k = 0; k < kKeys; ++k)
     if (const auto hit = cache.get(key_of(k)))
       expect_identical(*hit, sample_entry(k));
+
+  // Post-hoc size audit: at quiescence the disk tier's accounting must
+  // equal the on-disk truth exactly.
+  cache.gc();
+  std::uint64_t disk_bytes = 0, disk_entries = 0;
+  for (const auto& e : fs::directory_iterator(tmp.file("store"))) {
+    if (e.path().extension() != ".cmsplan") continue;
+    disk_bytes += static_cast<std::uint64_t>(e.file_size());
+    ++disk_entries;
+  }
+  EXPECT_EQ(cache.stats().disk_entries, disk_entries);
+  EXPECT_EQ(cache.stats().disk_bytes, disk_bytes);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ struct TempDir {
 
 std::shared_ptr<opt::TraceStore> make_store(
     const TempDir& tmp,
-    opt::TraceStore::Capacity cap = opt::TraceStore::Capacity()) {
+    opt::Capacity cap = opt::Capacity()) {
   return std::make_shared<opt::TraceStore>(tmp.store_dir(),
                                            /*read_only=*/false, cap);
 }
@@ -185,7 +185,7 @@ TEST(PlanService, EvictionUnderTightBudgetNeverCorruptsPinnedEntries) {
   // concurrent requests and verify every response against unpressured
   // references.
   TempDir tmp;
-  opt::TraceStore::Capacity tight;
+  opt::Capacity tight;
   tight.max_entries = 1;
   PlanningService service({make_store(tmp, tight), 1, nullptr, nullptr});
 

@@ -1,4 +1,4 @@
-// Tests for the trace file format (opt/trace.hpp encode/save/load) and
+// Tests for the trace file format (opt/trace.hpp encode/decode) and
 // the content-addressed TraceStore (opt/trace_store.hpp): exact round
 // trips, every failure path of the on-disk format (truncation, bad magic,
 // future schema version, checksum mismatch — all std::runtime_error with
@@ -121,12 +121,17 @@ TEST(TraceFormat, EncodeDecodeRoundTripsExactly) {
 }
 
 TEST(TraceFormat, FileRoundTripsExactly) {
+  // The one file path production code uses: DirBackend put/get + decode.
   TempDir tmp;
-  const std::string path = tmp.file("cap.cmstrace");
+  DirBackend dir(tmp.path.string());
   const CaptureRun original = sample_capture();
-  save_capture(original, "abc", path);
+  dir.put(BlobKind::kTrace, "abc", encode_capture(original, "abc"));
+  const auto blob = dir.get(BlobKind::kTrace, "abc");
+  ASSERT_TRUE(blob.has_value());
   std::string digest;
-  const CaptureRun loaded = load_capture(path, &digest);
+  const CaptureRun loaded =
+      decode_capture(blob->data(), blob->size(),
+                     dir.path_of(BlobKind::kTrace, "abc"), &digest);
   EXPECT_EQ(digest, "abc");
   expect_identical(original, loaded);
   // No temp files left behind.
@@ -138,56 +143,64 @@ TEST(TraceFormat, FileRoundTripsExactly) {
   EXPECT_EQ(files, 1u);
 }
 
+/// A store over `tmp` holding sample_capture() under digest "d"; the
+/// format tests corrupt that entry's file and load it back.
+struct StoredSample {
+  explicit StoredSample(const TempDir& tmp)
+      : store(tmp.file("store")) {
+    store.save("d", sample_capture());
+    path = store.path_of("d");
+  }
+  TraceStore store;
+  std::string path;
+};
+
 TEST(TraceFormat, TruncatedFileThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("truncated.cmstrace");
-  save_capture(sample_capture(), "d", path);
-  const auto full_size = fs::file_size(path);
+  const StoredSample s(tmp);
+  const auto full_size = fs::file_size(s.path);
   // Cut in the middle of the payload AND down to less than a header.
   for (const std::uintmax_t keep : {full_size / 2, std::uintmax_t{5}}) {
-    fs::resize_file(path, keep);
-    expect_error_mentioning([&] { load_capture(path); }, path);
+    fs::resize_file(s.path, keep);
+    expect_error_mentioning([&] { s.store.load("d"); }, s.path);
   }
 }
 
 TEST(TraceFormat, BadMagicThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("notatrace.cmstrace");
-  save_capture(sample_capture(), "d", path);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const StoredSample s(tmp);
+  std::fstream f(s.path, std::ios::in | std::ios::out | std::ios::binary);
   f.put('X');  // clobber the first magic byte
   f.close();
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "magic");
+  expect_error_mentioning([&] { s.store.load("d"); }, s.path);
+  expect_error_mentioning([&] { s.store.load("d"); }, "magic");
 }
 
 TEST(TraceFormat, FutureSchemaVersionThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("future.cmstrace");
-  save_capture(sample_capture(), "d", path);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const StoredSample s(tmp);
+  std::fstream f(s.path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(8);   // version field sits right after the 8-byte magic
   f.put(99);    // little-endian low byte -> version 99
   f.close();
   // Version is diagnosed BEFORE the checksum: a future format may
   // checksum differently, and "please upgrade" beats "corrupt file".
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "version");
+  expect_error_mentioning([&] { s.store.load("d"); }, s.path);
+  expect_error_mentioning([&] { s.store.load("d"); }, "version");
 }
 
 TEST(TraceFormat, ChecksumMismatchThrowsWithPath) {
   TempDir tmp;
-  const std::string path = tmp.file("bitrot.cmstrace");
-  save_capture(sample_capture(), "d", path);
-  const auto size = fs::file_size(path);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const StoredSample s(tmp);
+  const auto size = fs::file_size(s.path);
+  std::fstream f(s.path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekg(static_cast<std::streamoff>(size / 2));
   const int orig = f.get();
   f.seekp(static_cast<std::streamoff>(size / 2));
   f.put(static_cast<char>(orig ^ 0x40));  // flip one payload bit
   f.close();
-  expect_error_mentioning([&] { load_capture(path); }, path);
-  expect_error_mentioning([&] { load_capture(path); }, "checksum");
+  expect_error_mentioning([&] { s.store.load("d"); }, s.path);
+  expect_error_mentioning([&] { s.store.load("d"); }, "checksum");
 }
 
 TEST(TraceStore, MissReturnsNulloptAndCounts) {
@@ -289,13 +302,14 @@ TEST(TraceFormatFuzz, AppendedGarbageAlwaysThrows) {
 }
 
 TEST(TraceFormatFuzz, FileTruncationsAndMutationsAlwaysThrow) {
-  // Same property through the save/load file path (what the store does).
+  // Same property through the store's file path.
   TempDir tmp;
-  const std::string path = tmp.file("fuzz.cmstrace");
+  const TraceStore store(tmp.file("store"));
+  const std::string path = store.path_of("d");
   const CaptureRun original = sample_capture();
   Rng rng(0xF17Eull);
   for (int i = 0; i < 30; ++i) {
-    save_capture(original, "d", path);  // restore pristine
+    store.save("d", original);  // restore pristine
     const auto size = fs::file_size(path);
     if (rng.chance(0.5)) {
       fs::resize_file(path, rng.below(size));  // strictly shorter
@@ -308,7 +322,7 @@ TEST(TraceFormatFuzz, FileTruncationsAndMutationsAlwaysThrow) {
       f.put(static_cast<char>(orig ^
                               static_cast<int>(1 + rng.below(255))));
     }
-    EXPECT_THROW(load_capture(path), std::runtime_error) << "round " << i;
+    EXPECT_THROW(store.load("d"), std::runtime_error) << "round " << i;
   }
 }
 
@@ -322,7 +336,7 @@ CaptureRun capture_numbered(std::uint64_t n) {
 
 TEST(TraceStoreCapacity, EvictsLeastRecentlyUsedAboveEntryBudget) {
   TempDir tmp;
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 2;
   const TraceStore store(tmp.file("store"), false, cap);
   store.save("a", capture_numbered(0));
@@ -347,7 +361,7 @@ TEST(TraceStoreCapacity, ByteBudgetEvictsUntilItFits) {
     probe.save("x", capture_numbered(0));
     return probe.stats().bytes;
   }();
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_bytes = one_entry * 2;  // room for two entries, not three
   const TraceStore store(tmp.file("store"), false, cap);
   store.save("a", capture_numbered(0));
@@ -361,7 +375,7 @@ TEST(TraceStoreCapacity, ByteBudgetEvictsUntilItFits) {
 
 TEST(TraceStoreCapacity, PinnedEntriesAreNeverEvicted) {
   TempDir tmp;
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(tmp.file("store"), false, cap);
   {
@@ -391,7 +405,7 @@ TEST(TraceStoreCapacity, ReopenedStoreIndexesExistingEntriesOldestFirst) {
     w.save("b", capture_numbered(1));
     w.save("c", capture_numbered(2));
   }
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 2;
   const TraceStore store(tmp.file("store"), false, cap);
   EXPECT_EQ(store.stats().entries, 3u);  // indexed, over budget until gc
@@ -430,7 +444,8 @@ TEST(TraceStoreCapacity, UnknownEntrySizeIsReStattedNotFrozen) {
 
   // The path becomes a real entry (what a racing writer's rename does).
   fs::remove(store.path_of("ghost"));
-  save_capture(capture_numbered(7), "ghost", store.path_of("ghost"));
+  store.backend()->put(BlobKind::kTrace, "ghost",
+                       encode_capture(capture_numbered(7), "ghost"));
   store.gc();  // re-stats unknown-size entries before any budget decision
   EXPECT_EQ(store.stats().bytes,
             a_bytes + fs::file_size(store.path_of("ghost")));
@@ -454,7 +469,7 @@ TEST(TraceStoreCapacity, FailedUnlinkKeepsTheEntryAccounted) {
   // were never freed. Enforcement skips the victim and falls through to
   // the next candidate instead.
   TempDir tmp;
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(tmp.file("store"), false, cap);
   store.save("a", capture_numbered(0));
@@ -477,7 +492,7 @@ TEST(TraceStoreCapacity, FailedUnlinkKeepsTheEntryAccounted) {
 
 TEST(TraceStoreCapacity, AlreadyVanishedVictimIsNotCountedAsEvicted) {
   TempDir tmp;
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(tmp.file("store"), false, cap);
   store.save("a", capture_numbered(0));
@@ -514,7 +529,7 @@ TEST(TraceStoreStress, ConcurrentReadersWritersEvictorsStayConsistent) {
   constexpr int kThreads = 8;
   constexpr int kOps = 150;
   constexpr std::uint64_t kDigests = 6;
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 4;
   const TraceStore store(tmp.file("store"), false, cap);
 
@@ -661,7 +676,7 @@ TEST_P(TraceStoreAnyBackend, VanishedEntryIsAMissNotAnError) {
 }
 
 TEST_P(TraceStoreAnyBackend, LruEvictionAboveEntryBudget) {
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 2;
   const TraceStore store(backend(), false, cap);
   store.save("a", capture_numbered(0));
@@ -680,7 +695,7 @@ TEST_P(TraceStoreAnyBackend, LruEvictionAboveEntryBudget) {
 }
 
 TEST_P(TraceStoreAnyBackend, PinnedEntriesAreNeverEvicted) {
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(backend(), false, cap);
   {
@@ -702,7 +717,7 @@ TEST_P(TraceStoreAnyBackend, ReopenIndexesExistingEntriesOldestFirst) {
     w.save("b", capture_numbered(1));
     w.save("c", capture_numbered(2));
   }
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 2;
   const TraceStore store(backend(), false, cap);
   EXPECT_EQ(store.stats().entries, 3u);  // indexed, over budget until gc
@@ -761,7 +776,7 @@ TEST(TraceStoreCapacity, ReopenEvictionOrderIsDeterministicUnderMtimeTies) {
     for (const char* d : {"a", "b", "c"})
       fs::last_write_time(probe.path_of(BlobKind::kTrace, d), stamp);
   }
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(tmp.file("store"), false, cap);
   const auto gr = store.gc();
@@ -778,7 +793,7 @@ TEST(TraceStoreTiered, L1EvictionDegradesToL2ReadThrough) {
   // still one read-through away in the shared far tier.
   const auto l1 = std::make_shared<MemBackend>();
   const auto l2 = std::make_shared<MemBackend>();
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(std::make_shared<TieredBackend>(l1, l2), false,
                          cap);
@@ -800,7 +815,7 @@ TEST(TraceStoreTiered, EvictedEntryAbsentFromL2IsAMissToRecapture) {
   // never an error.
   const auto l1 = std::make_shared<MemBackend>();
   const auto l2 = std::make_shared<MemBackend>();
-  TraceStore::Capacity cap;
+  Capacity cap;
   cap.max_entries = 1;
   const TraceStore store(
       std::make_shared<TieredBackend>(l1, l2, /*l2_writable=*/false), false,
