@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
 namespace cms::sim {
 
@@ -54,9 +55,13 @@ void TimingEngine::dispatch(ProcState& ps, std::size_t p, int idx) {
   }
   if (ps.quantum_left > 0) --ps.quantum_left;
 
-  TaskContext ctx(&task->recorder(), &task->regions());
+  // The firing records into the processor's drained buffer and takes it
+  // back with its events, so no firing regrows an event vector.
+  MemoryRecorder& rec = task->recorder();
+  rec.recycle(std::move(ps.events));
+  TaskContext ctx(&rec, &task->regions());
   task->fire(ctx);
-  auto trace = task->recorder().take();
+  auto trace = rec.take();
 
   TaskState& tst = task_states_[static_cast<std::size_t>(idx)];
   ++tst.stats.firings;
@@ -66,13 +71,13 @@ void TimingEngine::dispatch(ProcState& ps, std::size_t p, int idx) {
   ++dispatches_;
 
   tst.dispatched = !trace.events.empty();
-  for (auto& e : trace.events) ps.pending.push_back(e);
+  ps.events = std::move(trace.events);
+  ps.next = 0;
 }
 
-void TimingEngine::step_access(ProcState& ps, std::size_t p) {
-  const MemAccess a = ps.pending.front();
-  ps.pending.pop_front();
-  assert(ps.current >= 0);
+bool TimingEngine::step_access(ProcState& ps, std::size_t p) {
+  assert(ps.pending() && ps.current >= 0);
+  const MemAccess a = ps.events[ps.next++];
   TaskState& tst = task_states_[static_cast<std::size_t>(ps.current)];
 
   ps.clock += a.gap;
@@ -91,7 +96,43 @@ void TimingEngine::step_access(ProcState& ps, std::size_t p) {
     ps.stats.busy_cycles += latency;
     ps.clock = out.finish;
   }
-  if (ps.pending.empty()) tst.dispatched = false;
+  if (ps.pending()) return false;
+  tst.dispatched = false;
+  return true;
+}
+
+int TimingEngine::pick(const ProcState& ps, std::size_t p,
+                       const std::vector<bool>& busy) {
+  // Within its quantum a task keeps its processor if it can fire again.
+  if (ps.current != -1 && ps.quantum_left > 0) {
+    const auto cur = static_cast<std::size_t>(ps.current);
+    if (!busy[cur] && !tasks_[cur]->done() && tasks_[cur]->can_fire())
+      return ps.current;
+  }
+  return os_.pick(static_cast<ProcId>(p), tasks_, busy);
+}
+
+std::pair<std::size_t, std::size_t> TimingEngine::first_actors(
+    bool idle_ok) const {
+  const std::size_t none = procs_.size();
+  std::size_t a = none, b = none;
+  for (std::size_t q = 0; q < procs_.size(); ++q) {
+    const ProcState& ps = procs_[q];
+    if (!(ps.pending() || (idle_ok && !ps.blocked))) continue;
+    if (a == none || ps.clock < procs_[a].clock) {
+      b = a;
+      a = q;
+    } else if (b == none || ps.clock < procs_[b].clock) {
+      b = q;
+    }
+  }
+  return {a, b};
+}
+
+Cycle TimingEngine::earliest_clock() const {
+  Cycle now = std::numeric_limits<Cycle>::max();
+  for (const ProcState& ps : procs_) now = std::min(now, ps.clock);
+  return now;
 }
 
 void TimingEngine::set_phase_schedule(
@@ -153,82 +194,98 @@ bool TimingEngine::all_done() const {
 
 SimResults TimingEngine::run() {
   platform_.hierarchy().reset_stats();
+  const std::uint64_t max_dispatches = platform_.config().max_dispatches;
+  const bool epochs = epoch_hook_ && epoch_length_ > 0;
+  const std::size_t none = procs_.size();
   bool deadlocked = false;
   bool hit_limit = false;
 
+  // Scheduling state: re-evaluated only after a dispatch or a drain (the
+  // only events that change any input to it), i.e. while `dirty`.
   std::vector<bool> busy(tasks_.size(), false);
-  std::vector<std::size_t> order(procs_.size());
+  bool app_finished = false;
+  bool dirty = true;
 
   for (;;) {
-    if (dispatches_ >= platform_.config().max_dispatches) {
+    if (dispatches_ >= max_dispatches) {
       hit_limit = true;
       break;
     }
-    // Visit processors in clock order; the earliest one that can act
-    // (replay a pending access, or dispatch a new firing) does so. This
-    // keeps shared-L2 interleaving close to global time order while never
-    // stalling on a processor that simply has nothing to run.
-    for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return procs_[a].clock < procs_[b].clock;
-    });
 
-    const bool app_finished = finished_ && finished_();
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
-      busy[i] = task_states_[i].dispatched;
-
-    if (num_phases_ > 1) {
-      // Phase bookkeeping runs BEFORE the dispatch scan of the same
-      // iteration: the moment a phase drains, its successor's tasks are
-      // already eligible below — a fully gated network can never be
-      // mistaken for a deadlock. Gating rides the busy[] mask, which
-      // Os::pick and the quantum-keep fast path both honor.
-      advance_phases(procs_[order[0]].clock);
+    if (dirty) {
+      app_finished = finished_ && finished_();
       for (std::size_t i = 0; i < tasks_.size(); ++i)
-        if (phase_of_[i] > active_phase_) busy[i] = true;
+        busy[i] = task_states_[i].dispatched;
+      if (num_phases_ > 1) {
+        // Phase bookkeeping runs BEFORE the dispatch scan: the moment a
+        // phase drains, its successor's tasks are already eligible below
+        // — a fully gated network can never be mistaken for a deadlock.
+        // Gating rides the busy[] mask, which Os::pick and the
+        // quantum-keep test both honor.
+        advance_phases(earliest_clock());
+        for (std::size_t i = 0; i < tasks_.size(); ++i)
+          if (phase_of_[i] > active_phase_) busy[i] = true;
+      }
+      for (ProcState& ps : procs_) ps.blocked = false;
+      dirty = false;
     }
 
-    if (epoch_hook_ && epoch_length_ > 0) {
-      const Cycle now = procs_[order[0]].clock;
+    if (epochs) {
+      const Cycle now = earliest_clock();
       if (now >= next_epoch_) {
         epoch_hook_(now, platform_.hierarchy());
         next_epoch_ = (now / epoch_length_ + 1) * epoch_length_;
       }
     }
 
-    bool acted = false;
-    for (const std::size_t p : order) {
-      ProcState& ps = procs_[p];
-      if (!ps.pending.empty()) {
-        step_access(ps, p);
-        acted = true;
-        break;
-      }
-      if (app_finished) continue;
-      // Within its quantum a task keeps its processor if it can fire again.
-      int idx = -1;
-      if (ps.current != -1 && ps.quantum_left > 0 &&
-          !busy[static_cast<std::size_t>(ps.current)] &&
-          !tasks_[static_cast<std::size_t>(ps.current)]->done() &&
-          tasks_[static_cast<std::size_t>(ps.current)]->can_fire()) {
-        idx = ps.current;
-      } else {
-        idx = os_.pick(static_cast<ProcId>(p), tasks_, busy);
-      }
-      if (idx >= 0) {
-        // A processor that fell behind while idle joins the present: work
-        // becoming available cannot start in its past.
-        ps.clock = std::max(ps.clock, procs_[order[0]].clock);
-        dispatch(ps, p, idx);
-        acted = true;
-        break;
-      }
+    // The first processor in (clock, index) order that can act (replay a
+    // pending access, or dispatch a new firing) does so. This keeps
+    // shared-L2 interleaving close to global time order while never
+    // stalling on a processor that simply has nothing to run. A failed
+    // pick has no side effects and its inputs are frozen until the state
+    // is dirty again, so that processor is not asked again until then.
+    std::size_t p = none, rival = none;
+    int idx = -1;
+    for (;;) {
+      std::tie(p, rival) = first_actors(!app_finished);
+      if (p == none || procs_[p].pending()) break;
+      idx = pick(procs_[p], p, busy);
+      if (idx >= 0) break;
+      procs_[p].blocked = true;
     }
-    if (acted) continue;
+    if (p == none) {
+      // No processor can replay or dispatch anything.
+      deadlocked = !app_finished && !all_done();
+      break;
+    }
 
-    // No processor can replay or dispatch anything.
-    deadlocked = !app_finished && !all_done();
-    break;
+    ProcState& ps = procs_[p];
+    if (idx >= 0) {
+      // A processor that fell behind while idle joins the present: work
+      // becoming available cannot start in its past.
+      ps.clock = std::max(ps.clock, earliest_clock());
+      dispatch(ps, p, idx);
+      dirty = true;
+      continue;
+    }
+
+    // Replay. Until p drains, nothing another processor could do changes,
+    // so p keeps replaying while it stays first in (clock, index) order
+    // against the first rival that could act, and while the earliest
+    // clock stays short of the next epoch boundary.
+    Cycle others = std::numeric_limits<Cycle>::max();
+    if (epochs)
+      for (std::size_t q = 0; q < procs_.size(); ++q)
+        if (q != p) others = std::min(others, procs_[q].clock);
+    const auto keeps_turn = [&] {
+      if (rival != none && (procs_[rival].clock < ps.clock ||
+                            (procs_[rival].clock == ps.clock && rival < p)))
+        return false;
+      return !epochs || std::min(ps.clock, others) < next_epoch_;
+    };
+    do {
+      dirty = step_access(ps, p);
+    } while (!dirty && keeps_turn());
   }
 
   // Idle time = the span the processor's clock lags the makespan plus any

@@ -8,6 +8,18 @@
 // production/consumption rates of the KPN — the mechanism behind the
 // paper's predictability discussion in section 3).
 //
+// Event-driven scheduling: the acting processor is always the first in
+// (clock, index) order that can act — replay a pending access, or
+// dispatch a new firing. Every input to the scheduling decision (the
+// finished predicate, the busy mask, done()/can_fire(), phase gating, a
+// processor's quantum) changes only when a firing is DISPATCHED or a
+// processor's queue DRAINS. So the engine re-evaluates that state only
+// after one of those two events; an idle processor that found nothing to
+// dispatch is not asked again until the next one (a failed Os::pick has
+// no side effects); and between events the earliest processor keeps
+// replaying accesses for as long as it stays first in (clock, index)
+// order, stopping at an epoch boundary.
+//
 // Thread-safety: a TimingEngine (and the Platform, Os and tasks it drives)
 // is thread-confined — it owns all of its mutable state and touches no
 // globals beyond immutable constant tables and the atomic log level, so
@@ -17,10 +29,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -83,8 +95,14 @@ class TimingEngine {
     Cycle clock = 0;
     int current = -1;  // index into tasks_, -1 = none
     std::uint32_t quantum_left = 0;
-    std::deque<MemAccess> pending;
+    /// The current firing's recorded accesses; [next, size) are pending.
+    std::vector<MemAccess> events;
+    std::size_t next = 0;
+    /// Idle and found nothing to dispatch since the last dispatch/drain.
+    bool blocked = false;
     ProcRunStats stats;
+
+    bool pending() const { return next < events.size(); }
   };
 
   struct TaskState {
@@ -94,8 +112,17 @@ class TimingEngine {
 
   /// Dispatch one firing of tasks_[idx] on proc `p` (functional phase).
   void dispatch(ProcState& ps, std::size_t p, int idx);
-  /// Replay the next pending access of proc `p` (timing phase).
-  void step_access(ProcState& ps, std::size_t p);
+  /// Replay the next pending access of proc `p` (timing phase); returns
+  /// true when that drained the processor's queue.
+  bool step_access(ProcState& ps, std::size_t p);
+  /// The task proc `p` would dispatch now, or -1.
+  int pick(const ProcState& ps, std::size_t p, const std::vector<bool>& busy);
+  /// The first two processors in (clock, index) order that can act;
+  /// procs_.size() stands for none. Idle processors count unless blocked
+  /// or `idle_ok` is false.
+  std::pair<std::size_t, std::size_t> first_actors(bool idle_ok) const;
+  /// The smallest processor clock.
+  Cycle earliest_clock() const;
   /// Activate every phase whose predecessor has fully drained (firing the
   /// phase hook per activation).
   void advance_phases(Cycle now);

@@ -43,6 +43,14 @@ class Os {
   /// Round-robin pick of the next fireable task for `proc`. `busy[i]`
   /// marks tasks currently dispatched on some processor (a task instance
   /// is sequential). Returns the index into `tasks`, or -1.
+  ///
+  /// Contract: a pick that returns -1 leaves the scheduler untouched — no
+  /// cursor moves, and the lazy cursor seeding it may trigger yields the
+  /// same cursors any later first pick would. So asking again with the
+  /// same tasks and `busy` gives -1 again, and a later successful pick
+  /// chooses exactly what it would have without the failed one. The
+  /// timing engine relies on this to skip re-asking a blocked processor
+  /// until a dispatch or drain changes the scheduling state.
   int pick(ProcId proc, const std::vector<Task*>& tasks,
            const std::vector<bool>& busy);
 

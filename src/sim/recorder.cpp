@@ -29,6 +29,12 @@ void MemoryRecorder::touch_code(const Region& code, std::uint64_t bytes,
   }
 }
 
+void MemoryRecorder::recycle(std::vector<MemAccess>&& buffer) {
+  if (!events_.empty()) return;
+  buffer.clear();
+  events_.swap(buffer);
+}
+
 MemoryRecorder::FiringTrace MemoryRecorder::take() {
   // Preserve any trailing compute as a final zero-byte "gap carrier" so
   // the engine charges it: encode as a size-0 read of the last address.

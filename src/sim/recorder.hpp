@@ -40,6 +40,12 @@ class MemoryRecorder {
   /// firing.
   FiringTrace take();
 
+  /// Hand back a drained event buffer for the next firing to record into,
+  /// so firings reuse its capacity instead of regrowing a fresh vector.
+  /// Its contents are discarded; events already recorded are kept (the
+  /// buffer is then dropped).
+  void recycle(std::vector<MemAccess>&& buffer);
+
   bool empty() const { return events_.empty() && pending_gap_ == 0; }
 
  private:

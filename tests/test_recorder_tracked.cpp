@@ -37,6 +37,26 @@ TEST(Recorder, TrailingComputeCarried) {
   EXPECT_EQ(trace.accesses, 1u);  // carrier not counted as a real access
 }
 
+TEST(Recorder, RecycledBufferIsReusedNotReplayed) {
+  MemoryRecorder rec;
+  std::vector<MemAccess> drained(1000);
+  const MemAccess* storage = drained.data();
+  rec.recycle(std::move(drained));
+  rec.read(0x40, 4);
+  const auto trace = rec.take();
+  ASSERT_EQ(trace.events.size(), 1u);  // stale contents discarded
+  EXPECT_EQ(trace.events[0].addr, 0x40u);
+  EXPECT_EQ(trace.events.data(), storage);  // same allocation, no regrowth
+
+  // Events recorded before the hand-back are never dropped.
+  rec.read(0x80, 4);
+  rec.recycle(std::vector<MemAccess>(8));
+  rec.read(0xc0, 4);
+  const auto kept = rec.take();
+  ASSERT_EQ(kept.events.size(), 2u);
+  EXPECT_EQ(kept.events[0].addr, 0x80u);
+}
+
 TEST(Recorder, TakeResetsState) {
   MemoryRecorder rec;
   rec.compute(3);
