@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
     content.jpeg_pictures = 2;
     content.canny_frames = 2;
     cfg.profile_grid = {1, 4, 16, 64, 256};
+    cfg.trace_key = core::app_trace_key("bench-app1", content);
   }
   const core::AppFactory factory = [content] {
     return apps::make_jpeg_canny_app(content);

@@ -4,7 +4,10 @@
 #include <cassert>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "common/log.hpp"
@@ -47,16 +50,49 @@ opt::CaptureRun assemble_capture(opt::TraceRecorder& rec,
 
 }  // namespace
 
-std::vector<std::pair<TaskId, std::string>> Experiment::tasks() const {
-  const apps::Application app = factory_();
-  std::vector<std::pair<TaskId, std::string>> out;
-  for (const auto& p : app.net->processes()) out.emplace_back(p->id(), p->name());
-  return out;
+AppShape AppShape::of(const apps::Application& app) {
+  AppShape shape;
+  for (const auto& p : app.net->processes())
+    shape.tasks.emplace_back(p->id(), p->name());
+  shape.buffers = app.net->buffers();
+  return shape;
 }
 
-std::vector<kpn::SharedBufferInfo> Experiment::buffers() const {
-  const apps::Application app = factory_();
-  return app.net->buffers();
+/// One lazily resolved shape, shared by every Experiment that holds the
+/// cell. `mu` serialises the first resolution, so concurrent first
+/// callers build the application once.
+struct Experiment::ShapeCell {
+  std::mutex mu;
+  std::optional<AppShape> shape;
+};
+
+Experiment::Experiment(AppFactory factory, ExperimentConfig cfg)
+    : factory_(std::move(factory)), cfg_(std::move(cfg)) {
+  if (cfg_.trace_key.empty()) {
+    shape_ = std::make_shared<ShapeCell>();
+    return;
+  }
+  // The trace key is the content address the trace store already trusts
+  // to identify the application, so it names the shape too: one cell per
+  // key per process.
+  static std::mutex mu;
+  static std::unordered_map<std::string, std::shared_ptr<ShapeCell>> cells;
+  std::lock_guard<std::mutex> lk(mu);
+  std::shared_ptr<ShapeCell>& cell = cells[cfg_.trace_key];
+  if (cell == nullptr) cell = std::make_shared<ShapeCell>();
+  shape_ = cell;
+}
+
+const AppShape& Experiment::shape() const {
+  std::lock_guard<std::mutex> lk(shape_->mu);
+  if (!shape_->shape) shape_->shape = AppShape::of(factory_());
+  return *shape_->shape;
+}
+
+Experiment Experiment::with_grid(std::vector<std::uint32_t> grid) const {
+  Experiment out = *this;
+  out.cfg_.profile_grid = std::move(grid);
+  return out;
 }
 
 SimJob Experiment::make_job(const sim::PlatformConfig& pc,
@@ -100,8 +136,7 @@ RunOutput Experiment::run_shared_with_l2(std::uint32_t l2_size_bytes) const {
 
 std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
   std::vector<ProfileJob> out;
-  const auto task_list = tasks();
-  const auto buffer_list = buffers();
+  const AppShape& app = shape();
   const std::uint32_t runs = std::max(1u, cfg_.profile_runs);
   out.reserve(cfg_.profile_grid.size() * runs);
 
@@ -110,7 +145,7 @@ std::vector<Experiment::ProfileJob> Experiment::profile_jobs() const {
     // virtually so the whole plan fits (isolation makes M_i(s) independent
     // of the total size).
     opt::PartitionPlan uplan = opt::uniform_plan(
-        sets, task_list, buffer_list, cfg_.platform.hier.l2, cfg_.planner);
+        sets, app.tasks, app.buffers, cfg_.platform.hier.l2, cfg_.planner);
 
     sim::PlatformConfig pc = cfg_.platform;
     const std::uint32_t line = pc.hier.l2.line_bytes;
@@ -405,8 +440,9 @@ opt::MissProfile Experiment::profile_replay(
 }
 
 opt::PartitionPlan Experiment::plan(const opt::MissProfile& prof) const {
-  return opt::plan_partitions(prof, tasks(), buffers(), cfg_.platform.hier.l2,
-                              cfg_.planner);
+  const AppShape& app = shape();
+  return opt::plan_partitions(prof, app.tasks, app.buffers,
+                              cfg_.platform.hier.l2, cfg_.planner);
 }
 
 std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,11 @@ struct ExperimentConfig {
   /// Content fingerprint of the application/content this experiment
   /// profiles (e.g. core::app_trace_key(name, app_config)). Folded into
   /// the store digest; an empty key disables store use (with a warning).
+  /// It also keys the application's shape (Experiment::shape()): every
+  /// Experiment of a process with the same non-empty key shares one
+  /// shape, read from one factory build. Like the store, this trusts the
+  /// key to identify the content; an empty key resolves the shape once
+  /// per Experiment (and its copies).
   std::string trace_key;
 
   /// Task / frame-buffer cache sizes swept by the profiler (sets).
@@ -82,18 +88,45 @@ struct ExperimentConfig {
   opt::ReplayKernel replay_kernel = opt::ReplayKernel::kAuto;
 };
 
+/// The client list the planner works on: the application's tasks (id,
+/// name, in creation order) and its shared communication buffers. It
+/// depends only on the application content, never on the platform or
+/// the sweep, so it is read once and then shared (Experiment::shape()).
+struct AppShape {
+  std::vector<std::pair<TaskId, std::string>> tasks;
+  std::vector<kpn::SharedBufferInfo> buffers;
+
+  /// The inventory of one built application.
+  static AppShape of(const apps::Application& app);
+
+  bool operator==(const AppShape&) const = default;
+};
+
 class Experiment {
  public:
-  Experiment(AppFactory factory, ExperimentConfig cfg)
-      : factory_(std::move(factory)), cfg_(std::move(cfg)) {}
+  Experiment(AppFactory factory, ExperimentConfig cfg);
 
   const ExperimentConfig& config() const { return cfg_; }
-  const AppFactory& factory() const { return factory_; }
 
+  /// The application's shape. Resolved lazily, on first use, from one
+  /// factory build (so a factory failure surfaces at profile/plan time),
+  /// then shared: per process for a non-empty trace_key, per Experiment
+  /// and its copies otherwise. Thread-safe; concurrent first callers
+  /// build the application once. A throwing factory leaves the shape
+  /// unresolved and the next call retries.
+  const AppShape& shape() const;
   /// Task inventory of the application (id, name), in creation order.
-  std::vector<std::pair<TaskId, std::string>> tasks() const;
+  const std::vector<std::pair<TaskId, std::string>>& tasks() const {
+    return shape().tasks;
+  }
   /// Shared buffer inventory.
-  std::vector<kpn::SharedBufferInfo> buffers() const;
+  const std::vector<kpn::SharedBufferInfo>& buffers() const {
+    return shape().buffers;
+  }
+
+  /// This experiment with another profiling grid; the copy shares the
+  /// shape (the grid does not change the application).
+  Experiment with_grid(std::vector<std::uint32_t> grid) const;
 
   /// One isolation-sweep simulation: grid position + the uniform partition
   /// size it measures.
@@ -192,8 +225,11 @@ class Experiment {
   std::vector<opt::CaptureRun> capture_runs_for(
       const std::vector<ProfileJob>& sweep) const;
 
+  struct ShapeCell;
+
   AppFactory factory_;
   ExperimentConfig cfg_;
+  std::shared_ptr<ShapeCell> shape_;
 };
 
 /// Open a directory-backed trace store per the CLI flags (core/cli.hpp):

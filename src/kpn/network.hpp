@@ -38,6 +38,8 @@ struct SharedBufferInfo {
   BufferKind kind = BufferKind::kFifo;
   Addr base = 0;
   std::uint64_t footprint = 0;  // bytes actually touched
+
+  bool operator==(const SharedBufferInfo&) const = default;
 };
 
 class Network {

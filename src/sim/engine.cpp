@@ -261,9 +261,8 @@ SimResults TimingEngine::run() {
 
     ProcState& ps = procs_[p];
     if (idx >= 0) {
-      // A processor that fell behind while idle joins the present: work
-      // becoming available cannot start in its past.
-      ps.clock = std::max(ps.clock, earliest_clock());
+      // p dispatches at its own clock, which is never earlier than the
+      // earliest clock (the minimum over every processor, p included).
       dispatch(ps, p, idx);
       dirty = true;
       continue;

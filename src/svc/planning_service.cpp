@@ -563,10 +563,7 @@ void PlanningService::run_request(const core::Experiment& exp,
       if (sweep == nullptr || union_grid == my_grid) {
         out->profile = exp.profile();
       } else {
-        core::ExperimentConfig ucfg = exp.config();
-        ucfg.profile_grid = union_grid;
-        const core::Experiment uexp(exp.factory(), std::move(ucfg));
-        out->profile = uexp.profile();
+        out->profile = exp.with_grid(union_grid).profile();
       }
       resp.profile_ms = ms_since(tp);
       resp.sweep = SweepRole::kLeader;

@@ -19,8 +19,10 @@
 // Threading contract:
 //  * plan() may be called from any number of threads concurrently; each
 //    request builds its own Experiment/Campaign object graph, so requests
-//    share nothing but the TraceStore (itself thread-safe) and the
-//    single-flight table.
+//    share nothing but the TraceStore (itself thread-safe), the
+//    single-flight table and the application shapes, which every
+//    Experiment with the same trace_key shares (core::Experiment::shape(),
+//    thread-safe). A store-hit request never builds the application.
 //  * SINGLE-FLIGHT capture dedup: when two clients need the same capture
 //    digest at the same time, exactly ONE runs the instrumented
 //    simulation; the others block until the leader has saved the entry

@@ -3,6 +3,10 @@
 // partitioned comparison in the conflict-heavy regime.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+
 #include "core/experiment.hpp"
 
 namespace cms::core {
@@ -34,6 +38,70 @@ TEST(Experiment, TaskAndBufferInventories) {
   for (const auto& b : buffers)
     segments += b.kind == kpn::BufferKind::kSegment;
   EXPECT_EQ(segments, 4);  // appl data/bss, rt data/bss
+}
+
+/// tiny_m2v that counts its builds in `builds` and throws while `fail`
+/// is set.
+AppFactory counted_m2v(std::shared_ptr<std::atomic<int>> builds,
+                       std::shared_ptr<std::atomic<bool>> fail = nullptr) {
+  return [builds, fail] {
+    ++*builds;
+    if (fail != nullptr && fail->load())
+      throw std::runtime_error("factory failure");
+    return apps::make_m2v_app(apps::AppConfig::tiny(7));
+  };
+}
+
+TEST(Experiment, ShapeIsBuiltOnceAndSharedByCopies) {
+  // Empty trace_key: one build per Experiment, shared by its copies.
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  const Experiment exp(counted_m2v(builds), tiny_experiment());
+  EXPECT_EQ(builds->load(), 0);  // lazy: construction builds nothing
+  EXPECT_EQ(exp.tasks().size(), 13u);
+  EXPECT_EQ(exp.profile_jobs().size(), 5u);
+  const Experiment wide = exp.with_grid({1, 32});
+  EXPECT_EQ(wide.config().profile_grid, (std::vector<std::uint32_t>{1, 32}));
+  EXPECT_EQ(exp.config().profile_grid, tiny_experiment().profile_grid);
+  EXPECT_EQ(wide.profile_jobs().size(), 2u);
+  exp.buffers();
+  EXPECT_EQ(builds->load(), 1);
+  EXPECT_TRUE(wide.shape() == AppShape::of(counted_m2v(builds)()));
+
+  // Another Experiment without a key resolves its own shape.
+  const Experiment other(counted_m2v(builds), tiny_experiment());
+  other.shape();
+  EXPECT_EQ(builds->load(), 3);
+}
+
+TEST(Experiment, ShapeIsSharedPerTraceKey) {
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  ExperimentConfig cfg = tiny_experiment();
+  cfg.trace_key = "test-experiment/shape-per-key";
+  const Experiment a(counted_m2v(builds), cfg);
+  const Experiment b(counted_m2v(builds), cfg);
+  EXPECT_TRUE(a.shape() == b.shape());
+  EXPECT_EQ(&a.shape(), &b.shape());
+  EXPECT_EQ(builds->load(), 1);
+
+  cfg.trace_key += "/other";
+  const Experiment c(counted_m2v(builds), cfg);
+  c.shape();
+  EXPECT_EQ(builds->load(), 2);
+}
+
+TEST(Experiment, FactoryFailureSurfacesAtUseAndRetries) {
+  auto builds = std::make_shared<std::atomic<int>>(0);
+  auto fail = std::make_shared<std::atomic<bool>>(true);
+  ExperimentConfig cfg = tiny_experiment();
+  cfg.trace_key = "test-experiment/failing-factory";
+  const Experiment exp(counted_m2v(builds, fail), cfg);  // must not throw
+  EXPECT_THROW(exp.profile_jobs(), std::runtime_error);
+  EXPECT_THROW(exp.plan(opt::MissProfile{}), std::runtime_error);
+  EXPECT_EQ(builds->load(), 2);  // a failure is not cached
+  fail->store(false);
+  EXPECT_EQ(exp.tasks().size(), 13u);
+  exp.buffers();
+  EXPECT_EQ(builds->load(), 3);
 }
 
 TEST(Experiment, M2vHasThirteenTasks) {

@@ -8,8 +8,11 @@
 // deferred captures honestly, the memoized plan cache turns repeat
 // requests into pure lookups, a tiered store lets a fresh process answer
 // by L2 read-through with zero captures, one shared backend feeds both
-// the store and the plan cache, and the plan_server protocol parser
-// rejects malformed values (non-finite/negative eps included).
+// the store and the plan cache, a store-hit request never builds the
+// application (a cold one builds it once per capture plus at most once for
+// its shape, even under concurrent first requests), and the plan_server
+// protocol parser rejects malformed values (non-finite/negative eps
+// included).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -704,6 +707,93 @@ TEST(PlanService, AdaptiveWindowSealsEarlyForLoneRequests) {
   const PlanResponse ref = direct.plan(req);
   ASSERT_TRUE(ref.ok) << ref.error;
   EXPECT_EQ(plan_response_digest(resp), plan_response_digest(ref));
+}
+
+// Application builds of the counted scenarios below.
+std::atomic<int> g_counted_builds{0};
+std::atomic<int> g_race_a_builds{0};
+std::atomic<int> g_race_b_builds{0};
+
+/// Register (once per process) mpeg2-tiny with two jitter runs under its
+/// own name and trace key, with a factory that counts its builds.
+void register_counted(const std::string& name, std::atomic<int>& builds) {
+  if (core::scenarios().has(name)) return;
+  core::ScenarioSpec spec = core::scenarios().get("mpeg2-tiny");
+  spec.name = name;
+  spec.factory = [&builds] {
+    builds.fetch_add(1);
+    return apps::make_m2v_app(apps::AppConfig::tiny());
+  };
+  spec.experiment.profile_runs = 2;
+  spec.experiment.trace_key =
+      core::app_trace_key(name, apps::AppConfig::tiny());
+  core::scenarios().add(std::move(spec));
+}
+
+TEST(PlanService, StoreHitRequestsNeverBuildTheApp) {
+  register_counted("svc-counted", g_counted_builds);
+  TempDir tmp;
+  PlanningService service({make_store(tmp), 1, nullptr, nullptr});
+  PlanRequest req;
+  req.scenario = "svc-counted";
+
+  // Cold: one build per capture, plus at most one to read the shape.
+  g_counted_builds = 0;
+  const PlanResponse cold = service.plan(req);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_EQ(cold.captured(), 2u);
+  EXPECT_GE(g_counted_builds.load(), 2);
+  EXPECT_LE(g_counted_builds.load(), 3);
+
+  // Store hits build nothing: a repeat, a fresh service over the same
+  // store (the shape outlives the service), and another grid.
+  g_counted_builds = 0;
+  const PlanResponse warm = service.plan(req);
+  PlanningService other({make_store(tmp), 1, nullptr, nullptr});
+  const PlanResponse fresh = other.plan(req);
+  PlanRequest regrid = req;
+  regrid.grid = {1, 3, 64};
+  const PlanResponse wide = other.plan(regrid);
+  for (const PlanResponse* r : {&warm, &fresh, &wide}) {
+    ASSERT_TRUE(r->ok) << r->error;
+    EXPECT_EQ(r->captured(), 0u);
+    EXPECT_EQ(r->store_hits(), 2u);
+  }
+  EXPECT_TRUE(warm.assignment.identical(cold.assignment));
+  EXPECT_TRUE(fresh.assignment.identical(cold.assignment));
+  EXPECT_EQ(g_counted_builds.load(), 0);
+}
+
+TEST(PlanService, ConcurrentFirstRequestsBuildTheShapeAtMostOnce) {
+  // Two scenarios never seen by this process, two clients each, all at
+  // once: the shape map is entered concurrently for both keys (TSan
+  // checks it in CI), yet each app is built once per capture plus at
+  // most once for its shape.
+  register_counted("svc-race-a", g_race_a_builds);
+  register_counted("svc-race-b", g_race_b_builds);
+  g_race_a_builds = 0;
+  g_race_b_builds = 0;
+  TempDir tmp;
+  PlanningService service({make_store(tmp), 1, nullptr, nullptr});
+  constexpr int kClients = 4;
+  std::vector<PlanResponse> responses(kClients);
+  {
+    std::vector<std::thread> pool;
+    for (int c = 0; c < kClients; ++c)
+      pool.emplace_back([&, c] {
+        PlanRequest req;
+        req.scenario = c % 2 == 0 ? "svc-race-a" : "svc-race-b";
+        responses[c] = service.plan(req);
+      });
+    for (auto& t : pool) t.join();
+  }
+  for (const PlanResponse& r : responses) ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(responses[0].assignment.identical(responses[2].assignment));
+  EXPECT_TRUE(responses[1].assignment.identical(responses[3].assignment));
+  for (const std::atomic<int>* builds : {&g_race_a_builds, &g_race_b_builds}) {
+    EXPECT_GE(builds->load(), 2);
+    EXPECT_LE(builds->load(), 3);
+  }
 }
 
 TEST(PlanService, DuplicateGridSizesAreRejectedAsRequestErrors) {

@@ -148,6 +148,29 @@ TEST(ScenarioRegistry, StreamingBuiltinsCompilePhaseSchedules) {
   EXPECT_EQ(app.net->processes().size(), 43u);
 }
 
+TEST(ScenarioRegistry, SharedShapeMatchesAFreshBuild) {
+  // Experiment::shape() is read once per trace_key and shared by every
+  // Experiment of the process. For every built-in scenario and every
+  // phase (built the way the planning service builds them) it must equal
+  // the inventory of a fresh factory build: same task ids and names,
+  // buffer ids, names, kinds, bases and footprints.
+  for (const ScenarioDef& def : builtin_scenario_defs()) {
+    const ScenarioSpec spec = scenarios().get(def.name);
+    const Experiment exp = scenarios().make_experiment(def.name);
+    const AppShape fresh = AppShape::of(spec.factory());
+    EXPECT_FALSE(fresh.tasks.empty()) << def.name;
+    EXPECT_FALSE(fresh.buffers.empty()) << def.name;
+    EXPECT_TRUE(exp.shape() == fresh) << def.name;
+    for (const ScenarioPhase& ph : spec.phases) {
+      ExperimentConfig cfg = spec.experiment;
+      cfg.trace_key = ph.trace_key;
+      const Experiment phase(ph.factory, std::move(cfg));
+      EXPECT_TRUE(phase.shape() == AppShape::of(ph.factory()))
+          << def.name << "/" << ph.name;
+    }
+  }
+}
+
 TEST(ScenarioRegistry, PhaseScheduleValidationNamesThePhase) {
   const auto fails = [](ScenarioDef def, const char* what) -> std::string {
     try {
