@@ -80,21 +80,20 @@ void run_app(const char* title, const core::AppFactory& factory,
   bench::print_run_summary("simulated migrating", mig);
   bench::print_run_summary("simulated static RR", stat);
   std::printf(
-      "model bottleneck %.0f vs simulated makespans: the static model is "
-      "an upper-bound-style estimate (it ignores pipeline overlap slack, "
-      "switching and idle gaps the simulator charges).\n",
+      "model bottleneck %.0f vs simulated makespans: the static model "
+      "leaves out the pipeline stalls, switching and idle gaps the "
+      "simulator charges, so expect it below both (a lower-bound-style "
+      "estimate, not an upper bound).\n",
       exact.makespan);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode profiler = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   run_app("Ablation E1: task-to-processor assignment — 2 jpegs & canny",
-          bench::app1_factory(), bench::app1_experiment(jobs, profiler, store));
+          bench::app1_factory(), bench::app1_experiment(flags));
   run_app("Ablation E2: task-to-processor assignment — mpeg2",
-          bench::app2_factory(), bench::app2_experiment(jobs, profiler, store));
+          bench::app2_factory(), bench::app2_experiment(flags));
   return 0;
 }

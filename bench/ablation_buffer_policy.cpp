@@ -29,12 +29,11 @@ std::uint64_t fifo_misses(const sim::SimResults& res,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   print_banner("Ablation B: buffer allocation policy (mpeg2)");
 
   const auto factory = bench::app2_factory();
-  const auto base = bench::app2_experiment(bench::parse_jobs(argc, argv),
-                                           bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv));
+  const auto base = bench::app2_experiment(flags);
   core::Experiment probe(factory, base);
   const auto buffers = probe.buffers();
   const opt::MissProfile prof = probe.profile();

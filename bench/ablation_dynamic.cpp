@@ -55,12 +55,11 @@ DynRun run_dynamic(const core::AppFactory& factory,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   print_banner("Ablation G: static guaranteed vs dynamic set stealing (app 1)");
 
   const auto factory = bench::app1_factory();
-  const auto cfg = bench::app1_experiment(bench::parse_jobs(argc, argv),
-                                          bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv));
+  const auto cfg = bench::app1_experiment(flags);
   core::Experiment exp(factory, cfg);
   const opt::MissProfile prof = exp.profile();
   const opt::PartitionPlan plan = exp.plan(prof);

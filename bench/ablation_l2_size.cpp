@@ -57,12 +57,10 @@ void sweep(const char* title, const core::AppFactory& factory,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   sweep("Ablation A1: L2 size sweep — 2 jpegs & canny", bench::app1_factory(),
-        bench::app1_experiment(jobs, prof, store));
+        bench::app1_experiment(flags));
   sweep("Ablation A2: L2 size sweep — mpeg2", bench::app2_factory(),
-        bench::app2_experiment(jobs, prof, store));
+        bench::app2_experiment(flags));
   return 0;
 }

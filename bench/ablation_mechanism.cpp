@@ -56,12 +56,11 @@ MechanismResult run_with(
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   print_banner("Ablation F: set vs way partitioning vs shared pool (app 1)");
 
   const auto factory = bench::app1_factory();
-  const auto cfg = bench::app1_experiment(bench::parse_jobs(argc, argv),
-                                          bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv));
+  const auto cfg = bench::app1_experiment(flags);
 
   // The full set-partitioned plan (paper's method) for reference & reuse.
   core::Experiment exp(factory, cfg);

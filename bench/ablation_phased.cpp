@@ -21,7 +21,6 @@
 //     global plan: adapts toward the active phase by stealing, but only
 //     set-by-set, chasing each phase change instead of anticipating it.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,12 +113,6 @@ PhasedRun run_phased(const core::ScenarioSpec& spec, Strategy strat,
   return out;
 }
 
-const char* parse_json_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  return nullptr;
-}
-
 void json_run(std::FILE* f, const char* key, const PhasedRun& r) {
   std::fprintf(
       f,
@@ -137,8 +130,17 @@ void json_run(std::FILE* f, const char* key, const PhasedRun& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const char* json_path = parse_json_path(argc, argv);
+  constexpr core::cli::Flag kOwn[] = {
+      {.name = "--quick", .help = "skip the 20k-epoch stealing run"},
+      {.name = "--json", .kind = core::cli::Kind::kString,
+       .help = "also write the runs as JSON to this file"},
+      {}};
+  const auto args = core::cli::parse_or_exit(
+      argc, argv,
+      {core::cli::kCampaignFlags, core::cli::kStoreFlags, kOwn});
+  const bool quick = args.given("--quick");
+  const std::string& json_path = args.text("--json");
+  const bench::CampaignFlags flags = bench::campaign_flags(args);
   const std::string scenario_name = "stream-tiny";
   print_banner("Ablation H: per-phase replanning vs global plan vs stealing (" +
                scenario_name + ")");
@@ -155,9 +157,9 @@ int main(int argc, char** argv) {
     if (plans.count(ph.trace_key) != 0) continue;
     core::ExperimentConfig cfg = spec.experiment;
     cfg.trace_key = ph.trace_key;
-    cfg.jobs = bench::parse_jobs(argc, argv);
-    cfg.profiler = bench::parse_profiler(argc, argv);
-    cfg.trace_store = bench::parse_trace_store(argc, argv);
+    cfg.jobs = flags.jobs;
+    cfg.profiler = flags.profiler;
+    cfg.trace_store = flags.store;
     core::Experiment exp(ph.factory, cfg);
     const opt::MissProfile prof = exp.profile();
     const opt::PartitionPlan plan = exp.plan(prof);
@@ -266,10 +268,10 @@ int main(int argc, char** argv) {
       wins ? "Plan-following wins on total misses."
            : "UNEXPECTED: plan-following did not win.");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
+  if (!json_path.empty()) {
+    std::FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
-      std::printf("cannot write %s\n", json_path);
+      std::printf("cannot write %s\n", json_path.c_str());
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"ablation_phased\",\n");

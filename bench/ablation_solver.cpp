@@ -127,4 +127,12 @@ BENCHMARK(BM_MckpDenseDp)->Args({15, 0})->Args({15, 1})->Args({32, 1});
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unknown flag exits 2 like every other
+// bench (google-benchmark's own --help prints its flags and exits 0).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

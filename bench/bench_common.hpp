@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <utility>
 
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
@@ -22,33 +21,37 @@
 
 namespace cms::bench {
 
-// Campaign flags shared with the examples; results are bit-identical for
-// any --jobs value, either --profiler mode (trace replay reproduces
-// the full-simulation sweep exactly) and with or without a --trace-dir
-// store (store hits load the same captures a live run would record), so
-// benches default to serial full simulation for undisturbed timing and
-// let the flags speed things up on demand.
-using core::has_flag;
-using core::parse_jobs;
-using core::parse_profiler;
-using core::parse_replay_kernel;
-using core::parse_store_l2;
-using core::parse_store_l2_dir;
-using core::parse_store_l2_target;
-using core::parse_trace_dir;
-using core::parse_trace_mode;
+/// The persistent capture store the kStoreFlags group selects (null when
+/// --trace-dir is absent or --trace=off). With --store-l2-dir DIR,
+/// --store-l2-dir tcp://host:port or --store-l2 tcp://host:port the local
+/// dir becomes the L1 of a tiered store over the shared far tier (a
+/// directory or a blob_server daemon), so every bench can replay a
+/// fleet-shared capture corpus.
+inline std::shared_ptr<opt::TraceStore> open_trace_store(
+    const core::cli::Args& args) {
+  const auto [dir, mode, l2_target, l2] = core::cli::store_choice(args);
+  return core::open_trace_store(dir, mode, l2_target, l2);
+}
 
-/// The persistent capture store selected by --trace-dir / --trace (null
-/// when absent or --trace=off). With --store-l2-dir DIR, --store-l2-dir
-/// tcp://host:port or --store-l2 tcp://host:port the local dir becomes
-/// the L1 of a tiered store over the shared far tier (a directory or a
-/// blob_server daemon), so every bench can replay a fleet-shared capture
-/// corpus.
-inline std::shared_ptr<opt::TraceStore> parse_trace_store(int argc,
-                                                          char** argv) {
-  return core::open_trace_store(
-      parse_trace_dir(argc, argv), parse_trace_mode(argc, argv),
-      parse_store_l2_target(argc, argv), parse_store_l2(argc, argv));
+/// What the campaign and store groups select. Results are bit-identical
+/// for any of them, so benches default to serial full simulation for
+/// undisturbed timing and let the flags speed things up on demand.
+struct CampaignFlags {
+  unsigned jobs = 1;
+  core::ProfilerMode profiler = core::ProfilerMode::kFullSim;
+  std::shared_ptr<opt::TraceStore> store;
+};
+
+inline CampaignFlags campaign_flags(const core::cli::Args& args) {
+  return {args.count<unsigned>("--jobs"),
+          args.choice<core::ProfilerMode>("--profiler"),
+          open_trace_store(args)};
+}
+
+/// The command line of a paper bench: the campaign and store groups.
+inline CampaignFlags parse_campaign_flags(int argc, char** argv) {
+  return campaign_flags(core::cli::parse_or_exit(
+      argc, argv, {core::cli::kCampaignFlags, core::cli::kStoreFlags}));
 }
 
 inline apps::AppConfig app1_content() {
@@ -74,34 +77,26 @@ inline core::AppFactory app2_factory() {
   return [] { return apps::make_m2v_app(app2_content()); };
 }
 
-/// `jobs` = campaign workers used by Experiment::profile (see parse_jobs);
-/// `profiler` = full simulation vs trace replay (see parse_profiler);
-/// `store` = persistent capture store (see parse_trace_store). The
-/// trace_key is always set, so attaching a store later also works.
-inline core::ExperimentConfig app1_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
+/// The benches' experiments, run as `flags` asks. The trace_key is always
+/// set, so attaching a store later also works.
+inline core::ExperimentConfig app1_experiment(const CampaignFlags& flags = {}) {
   core::ExperimentConfig cfg;
   cfg.platform.hier.l2.size_bytes = 96 * 1024;
   cfg.profile_runs = 2;
-  cfg.jobs = jobs;
-  cfg.profiler = profiler;
-  cfg.trace_store = std::move(store);
+  cfg.jobs = flags.jobs;
+  cfg.profiler = flags.profiler;
+  cfg.trace_store = flags.store;
   cfg.trace_key = core::app_trace_key("bench-app1", app1_content());
   return cfg;
 }
 
-inline core::ExperimentConfig app2_experiment(
-    unsigned jobs = 1,
-    core::ProfilerMode profiler = core::ProfilerMode::kFullSim,
-    std::shared_ptr<opt::TraceStore> store = nullptr) {
+inline core::ExperimentConfig app2_experiment(const CampaignFlags& flags = {}) {
   core::ExperimentConfig cfg;
   cfg.platform.hier.l2.size_bytes = 64 * 1024;
   cfg.profile_runs = 2;
-  cfg.jobs = jobs;
-  cfg.profiler = profiler;
-  cfg.trace_store = std::move(store);
+  cfg.jobs = flags.jobs;
+  cfg.profiler = flags.profiler;
+  cfg.trace_store = flags.store;
   cfg.trace_key = core::app_trace_key("bench-app2", app2_content());
   return cfg;
 }

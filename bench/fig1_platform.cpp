@@ -11,7 +11,8 @@
 
 using namespace cms;
 
-int main() {
+int main(int argc, char** argv) {
+  core::cli::parse_or_exit(argc, argv, {});  // no flags but --help
   print_banner("Figure 1: CAKE tile (inside-tile view)");
 
   const sim::PlatformConfig paper = sim::cake_platform();

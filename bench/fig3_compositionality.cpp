@@ -62,15 +62,13 @@ bool run_app(const char* title, const core::AppFactory& factory,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv);
-  const core::ProfilerMode prof = bench::parse_profiler(argc, argv);
-  const auto store = bench::parse_trace_store(argc, argv);
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   // Both apps run even when the first fails, so one invocation reports all.
   const bool ok1 =
       run_app("Figure 3a: expected vs simulated misses — 2 jpegs & canny",
-              bench::app1_factory(), bench::app1_experiment(jobs, prof, store));
+              bench::app1_factory(), bench::app1_experiment(flags));
   const bool ok2 =
       run_app("Figure 3b: expected vs simulated misses — mpeg2",
-              bench::app2_factory(), bench::app2_experiment(jobs, prof, store));
+              bench::app2_factory(), bench::app2_experiment(flags));
   return ok1 && ok2 ? 0 : 1;
 }

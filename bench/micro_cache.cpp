@@ -116,4 +116,12 @@ BENCHMARK(BM_L1HitPath);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an unknown flag exits 2 like every other
+// bench (google-benchmark's own --help prints its flags and exits 0).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -8,8 +8,8 @@
 //   {"bench": "micro_campaign", ..., "runs": [{"jobs": 1, "ms": ...}, ...],
 //    "identical": true, "speedup_max_jobs": 2.31}
 //
-// Flags: --jobs N   highest worker count measured (default 4)
-//        --full     evaluation-sized content + full 9-point sweep grid
+// Flags: --jobs N (highest worker count measured, default 4) and --full
+// (evaluation-sized content + full 9-point sweep grid).
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -31,10 +31,16 @@ double profile_ms(const core::Experiment& exp, opt::MissProfile& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr core::cli::Flag kFlags[] = {
+      core::cli::kJobs.with_default("4"),
+      {.name = "--full",
+       .help = "evaluation-sized content and the full 9-point sweep grid"},
+      {}};
+  const auto args = core::cli::parse_or_exit(argc, argv, {kFlags});
   // 0 = hardware concurrency, like every other binary.
   const unsigned max_jobs =
-      core::Campaign::resolve_jobs(bench::parse_jobs(argc, argv, 4));
-  const bool full = bench::has_flag(argc, argv, "--full");
+      core::Campaign::resolve_jobs(args.count<unsigned>("--jobs"));
+  const bool full = args.given("--full");
 
   apps::AppConfig content = bench::app1_content();
   core::ExperimentConfig cfg = bench::app1_experiment();

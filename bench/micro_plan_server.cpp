@@ -31,23 +31,8 @@
 //               back as "deadline expired in queue" without planning
 //               (per-connection ordering makes both deterministic)
 //
-//   ./micro_plan_server [--server-bin PATH] [--trace-dir DIR]
-//                       [--clients N] [--coalesce-window-ms X] [--jobs N]
-//                       [--scenario S]
-//
-// Flags: --server-bin PATH         plan_server binary (default: the
-//                                  example_plan_server next to this bench)
-//        --trace-dir D             store dir handed to the server
-//                                  (default micro_plan_server.traces)
-//        --clients N               first-burst size (2..256, default 8;
-//                                  the second burst doubles it)
-//        --coalesce-window-ms X    server merge window (default 250 —
-//                                  generous enough that a whole burst is
-//                                  admitted within it on a loaded 1-core
-//                                  CI box; the window is an unconditional
-//                                  hold, so this is NOT a race to win)
-//        --jobs N                  campaign workers inside the server
-//        --scenario S              scenario to hammer (default mpeg2-tiny)
+// Flags: --help lists them (server binary, store dir, burst size, merge
+// window, workers, scenario).
 //
 // Output: one JSON object on stdout (CI redirects it to
 // BENCH_plan_server.json); "ok": false and exit 1 on any violated
@@ -371,7 +356,25 @@ BurstStats run_burst(std::uint16_t port, Client& control, unsigned n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string server_bin = core::parse_string_flag(argc, argv, "--server-bin");
+  namespace cli = core::cli;
+  constexpr cli::Flag kFlags[] = {
+      {.name = "--server-bin", .kind = cli::Kind::kString,
+       .help = "plan_server binary (default: the example_plan_server next "
+               "to this bench)"},
+      cli::kTraceDir.with_default("micro_plan_server.traces"),
+      {.name = "--clients", .kind = cli::Kind::kUnsigned, .def = "8",
+       .help = "first-burst size, clamped into [2, 256] (the second burst "
+               "doubles it)"},
+      // Generous enough that a whole burst is admitted within it on a
+      // loaded 1-core box; the window is an unconditional hold for a
+      // steady trickle of joiners, so this is not a race to win.
+      cli::kCoalesceWindow.with_default("250"),
+      cli::kJobs,
+      {.name = "--scenario", .kind = cli::Kind::kString, .def = "mpeg2-tiny",
+       .help = "scenario to hammer"},
+      {}};
+  const cli::Args args = cli::parse_or_exit(argc, argv, {kFlags});
+  std::string server_bin = args.text("--server-bin");
   if (server_bin.empty()) {
     // Default: example_plan_server next to this binary (both live in the
     // build directory).
@@ -381,18 +384,15 @@ int main(int argc, char** argv) {
                                              : self.substr(0, slash)) +
                  "/example_plan_server";
   }
-  std::string dir = core::parse_trace_dir(argc, argv);
-  if (dir.empty()) dir = "micro_plan_server.traces";
-  unsigned clients = static_cast<unsigned>(
-      core::parse_u64_flag(argc, argv, "--clients", 8));
-  if (clients < 2 || clients > 256) {
+  const std::string& dir = args.text("--trace-dir");
+  const std::uint64_t asked = args.count("--clients");
+  if (asked < 2 || asked > 256)
     std::fprintf(stderr, "warning: clamping --clients into [2, 256]\n");
-    clients = clients < 2 ? 2 : 256;
-  }
-  const double window = core::parse_coalesce_window_ms(argc, argv, 250.0);
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  std::string scenario = core::parse_string_flag(argc, argv, "--scenario");
-  if (scenario.empty()) scenario = "mpeg2-tiny";
+  const auto clients =
+      static_cast<unsigned>(std::clamp<std::uint64_t>(asked, 2, 256));
+  const double window = args.millis("--coalesce-window-ms");
+  const auto jobs = args.count<unsigned>("--jobs");
+  const std::string& scenario = args.text("--scenario");
 
   // Mixed client grids, all subsets of one union (client 0 carries the
   // full union, so whoever leads, the union sweep covers everyone). The
@@ -479,14 +479,18 @@ int main(int argc, char** argv) {
   }
 
   // Phase 5: OVERLOAD — a deliberately tiny server (1 worker, 2 queue
-  // slots, no merge window). Pipelining puts every line in the admission
-  // path while the worker is still busy with the first, which makes both
-  // checks deterministic; per-connection ordering maps responses back.
+  // slots). Pipelining puts every line in the admission path while the
+  // worker is still busy with the first, which makes both checks
+  // deterministic; per-connection ordering maps responses back. A
+  // store-hit sweep takes well under 1 ms, so the merge window is what
+  // keeps the worker busy: a lone leader holds its sweep for the window's
+  // quiet gap (40 / 4 = 10 ms) before sealing.
   ::unlink(port_file.c_str());
   ServerProc tiny(server_bin,
                   {"--trace-dir", dir, "--trace", "rw", "--plan-cache", "off",
                    "--port", "0", "--port-file", port_file, "--net-workers",
-                   "1", "--max-pending", "2", "--jobs", "1"});
+                   "1", "--max-pending", "2", "--coalesce-window-ms", "40",
+                   "--jobs", "1"});
   const std::uint16_t tiny_port = wait_for_port(port_file, tiny);
   long long shed = 0, deadline_expired = 0;
   {
@@ -521,7 +525,8 @@ int main(int argc, char** argv) {
     Client c(tiny_port);
     // The deadline_ms=1 request is pipelined BEHIND a full sweep on the
     // single worker: it provably sits in the queue for the sweep's whole
-    // duration (>> 1ms), so it must come back expired, unplanned.
+    // duration (>= the 10 ms hold), so it must come back expired,
+    // unplanned.
     c.send_raw(plan_line(scenario, grids[0]) + "\n" +
                plan_line(scenario, grids[2]) + " deadline_ms=1\n");
     const std::string first = c.recv_line();

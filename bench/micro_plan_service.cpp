@@ -22,13 +22,7 @@
 // concurrent-client throughput as JSON; exits nonzero on any failed
 // response, assignment mismatch, warm capture or plan-cache miss.
 //
-//   ./micro_plan_service [--jobs N] [--quick] [--trace-dir DIR]
-//                        [--trace off|ro|rw] [--service-clients N]
-//                        [--service-budget-bytes N]
-//                        [--service-budget-entries N]
-//                        [--plan-cache off|mem|disk]
-//                        [--plan-cache-budget-bytes N]
-//                        [--plan-cache-budget-entries N]
+//   ./micro_plan_service [flags]      (--help lists them)
 //   {"bench": "micro_plan_service", "trace_dir": "...", "scenarios": [
 //    {"scenario": "mpeg2-tiny", "ok": true, "identical": true,
 //     "cold_ms": {"capture": ..., "profile": ..., "plan": ..., "total": ...},
@@ -40,18 +34,10 @@
 //     "store": {"hits": ..., "writes": ..., "evictions": ...}}, ...],
 //    "ok": true}
 //
-// Flags: --jobs N                  campaign workers per request
-//        --quick                   tiny scenarios only (TSan/CI smoke)
-//        --trace-dir D             store dir (default micro_plan_service.traces)
-//        --trace MODE              off|ro|rw (off is rejected; default rw)
-//        --store-l2-dir D          far store tier: every service instance
-//                                  gets its own L1-over-D tiered store
-//        --store-l2 MODE           off|ro|rw far-tier mode (default rw)
-//        --service-clients N       concurrent client threads (default 4)
-//        --service-budget-bytes N  store byte budget (0 = unlimited)
-//        --service-budget-entries N  store entry budget (0 = unlimited)
-//        --plan-cache MODE         off|mem|disk (default disk)
-//        --plan-cache-budget-*     per-tier cache budgets (0 = unlimited)
+// Flags: --jobs, --quick (tiny scenarios only), --service-clients, and the
+// store and service groups of core/cli.hpp. --trace-dir defaults to
+// micro_plan_service.traces and --trace off is rejected; with a far tier
+// every service instance gets its own L1 over it.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -65,25 +51,30 @@
 using namespace cms;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const unsigned clients = core::parse_service_clients(argc, argv, 4);
-  std::string dir = bench::parse_trace_dir(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {
+      cli::kJobs,
+      {.name = "--quick", .help = "tiny scenarios only"},
+      {.name = "--service-clients", .kind = cli::Kind::kUnsigned, .def = "4",
+       .min = 1, .max = cli::kMaxJobs,
+       .help = "concurrent client threads in the concurrent phase"},
+      {}};
+  const cli::Args args = cli::parse_or_exit(
+      argc, argv, {cli::kStoreFlags, cli::kServiceFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
+  const bool quick = args.given("--quick");
+  const auto clients = args.count<unsigned>("--service-clients");
+  auto [dir, mode, l2_target, l2] = cli::store_choice(args);
   if (dir.empty()) dir = "micro_plan_service.traces";
-  const core::TraceMode mode = bench::parse_trace_mode(argc, argv);
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "micro_plan_service needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = bench::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
-  const opt::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+  const opt::Capacity capacity{args.count("--service-budget-bytes"),
+                               args.count("--service-budget-entries")};
+  const auto cache_mode = args.choice<core::PlanCacheMode>("--plan-cache");
+  const opt::Capacity cache_budget{args.count("--plan-cache-budget-bytes"),
+                                   args.count("--plan-cache-budget-entries")};
 
   // Each service instance composes its own backend over the shared dirs —
   // fresh instances model separate server processes, tiered when a far

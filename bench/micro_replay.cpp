@@ -29,16 +29,12 @@
 //                 {"kernel": "scalar", "ms": ..., ...}]}, ...],
 //    "identical": true}
 //
-// Flags: --jobs N            campaign workers (0 = hardware)
-//        --quick             tiny scenarios only (CI smoke on slow hosts)
-//        --replay-kernel K   auto|scalar|persize (default auto)
-//        --profile-out FILE  dump the replay profile (MissProfile rows) to
-//                            FILE — CI diffs the scalar and persize dumps
-//        --compare-kernels   per-kernel timing mode (see above)
+// Flags (--help lists them): --jobs, --quick, --replay-kernel,
+// --compare-kernels, the store group of core/cli.hpp and --profile-out
+// FILE, the replay-profile dump CI diffs between kernels.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -93,18 +89,6 @@ void recon_error_at(const core::Experiment& exp,
     worst = std::max(worst, err);
     ++n;
   }
-}
-
-std::string parse_profile_out(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile-out") == 0) {
-      if (i + 1 < argc) return argv[i + 1];
-      std::fprintf(stderr, "warning: --profile-out needs a file\n");
-      return {};
-    }
-    if (std::strncmp(argv[i], "--profile-out=", 14) == 0) return argv[i] + 14;
-  }
-  return {};
 }
 
 /// The per-kernel timing mode: replay-only wall-clock of every engine
@@ -188,13 +172,25 @@ bool compare_kernels(unsigned jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const auto store = bench::parse_trace_store(argc, argv);
-  const opt::ReplayKernel kernel = bench::parse_replay_kernel(argc, argv);
-  const std::string profile_out = parse_profile_out(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {
+      cli::kJobs,
+      cli::kReplayKernel,
+      {.name = "--quick", .help = "tiny scenarios only"},
+      {.name = "--profile-out", .kind = cli::Kind::kString,
+       .help = "dump the replay profile (MissProfile rows) to this file"},
+      {.name = "--compare-kernels",
+       .help = "time the replay half alone under every engine"},
+      {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kStoreFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
+  const bool quick = args.given("--quick");
+  const auto store = bench::open_trace_store(args);
+  const auto kernel = args.choice<opt::ReplayKernel>("--replay-kernel");
+  const std::string& profile_out = args.text("--profile-out");
 
-  if (bench::has_flag(argc, argv, "--compare-kernels"))
+  if (args.given("--compare-kernels"))
     return compare_kernels(jobs, store) ? 0 : 1;
 
   std::vector<std::string> names;

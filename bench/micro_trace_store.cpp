@@ -11,8 +11,7 @@
 // second run must be served entirely from disk, and the TSan job replays
 // the same directory read-only from another process).
 //
-//   ./micro_trace_store [--jobs N] [--quick] [--trace-dir DIR]
-//                       [--trace off|ro|rw] [--expect-hits] [--full]
+//   ./micro_trace_store [flags]       (--help lists them)
 //   {"bench": "micro_trace_store", "trace_dir": "...", "scenarios": [
 //    {"scenario": "mpeg2-tiny", "identical": true,
 //     "ms": {"fullsim": ..., "replay_mem": ..., "cold": ..., "warm": ...},
@@ -38,16 +37,9 @@
 // exit 5 if it degraded without logging any, since then the fault never
 // actually fired.
 //
-// Flags: --jobs N       campaign workers (0 = hardware)
-//        --quick        tiny scenarios only, no fullsim arm (TSan/CI smoke)
-//        --trace-dir D  store directory (default micro_trace_store.traces)
-//        --trace MODE   off|ro|rw store mode (default rw)
-//        --store-l2-dir T  far tier: directory or tcp://host:port
-//        --store-l2 MODE   off|ro|rw far-tier mode, or tcp://host:port
-//                          (implies rw against that endpoint)
-//        --expect-hits  fail unless the cold pass was all store hits
-//        --expect-l2-errors  tolerate L2-only misses; require l2_errors > 0
-//        --full         force the fullsim identity arm even with --quick
+// Flags: --jobs, --quick (tiny scenarios, no fullsim arm unless --full),
+// --expect-hits, --expect-l2-errors and the store group of core/cli.hpp;
+// --trace-dir defaults to micro_trace_store.traces.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -131,22 +123,30 @@ struct NetTotals {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::parse_jobs(argc, argv, 1);
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const bool expect_hits = bench::has_flag(argc, argv, "--expect-hits");
-  const bool check_fullsim = !quick || bench::has_flag(argc, argv, "--full");
-  std::string dir = bench::parse_trace_dir(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {
+      cli::kJobs,
+      {.name = "--quick", .help = "tiny scenarios only, no fullsim arm"},
+      {.name = "--full", .help = "force the fullsim arm even with --quick"},
+      {.name = "--expect-hits",
+       .help = "fail unless the cold pass was all store hits"},
+      {.name = "--expect-l2-errors",
+       .help = "tolerate L2-only misses; require observed L2 errors"},
+      {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kStoreFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
+  const bool quick = args.given("--quick");
+  const bool expect_hits = args.given("--expect-hits");
+  const bool check_fullsim = !quick || args.given("--full");
+  auto [dir, mode, l2_target, l2] = cli::store_choice(args);
   if (dir.empty()) dir = "micro_trace_store.traces";
-  const core::TraceMode mode = bench::parse_trace_mode(argc, argv);
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "micro_trace_store needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = bench::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = bench::parse_store_l2(argc, argv);
   const bool tiered = !l2_target.empty() && l2 != core::StoreL2Mode::kOff;
-  const bool expect_l2_errors =
-      bench::has_flag(argc, argv, "--expect-l2-errors");
+  const bool expect_l2_errors = args.given("--expect-l2-errors");
   // L2-only-warm pass: a fresh EMPTY L1 over the shared far tier, so
   // every capture must read through. Wiped once up front.
   const std::string l2only_dir = dir + ".l2only";

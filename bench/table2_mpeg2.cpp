@@ -8,12 +8,10 @@
 using namespace cms;
 
 int main(int argc, char** argv) {
+  const bench::CampaignFlags flags = bench::parse_campaign_flags(argc, argv);
   print_banner("Table 2: L2 allocated sets to tasks for mpeg2");
 
-  core::Experiment exp(bench::app2_factory(),
-                       bench::app2_experiment(bench::parse_jobs(argc, argv),
-                                              bench::parse_profiler(argc, argv),
-                                          bench::parse_trace_store(argc, argv)));
+  core::Experiment exp(bench::app2_factory(), bench::app2_experiment(flags));
   std::printf("profiling task miss curves (grid of %zu sizes, %u runs each)...\n",
               exp.config().profile_grid.size(), exp.config().profile_runs);
   const opt::MissProfile prof = exp.profile();

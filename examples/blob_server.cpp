@@ -13,19 +13,12 @@
 //   $ ./example_blob_server --dir far-store --port 0 --port-file p.txt
 //   $ ./micro_trace_store --trace-dir l1 --store-l2 tcp://127.0.0.1:$(cat p.txt)
 //
-// Flags: --dir D           directory to export (default blob_server.store)
-//        --mode ro|rw      rw (default) accepts puts/removes; ro answers
-//                          them with a server error (clients degrade)
-//        --port N          listen on 127.0.0.1:N (0 = ephemeral)
-//        --port-file PATH  write the resolved port here once listening
-//        --net-workers N   worker threads (concurrent blob requests)
-//        --max-pending N   admission queue bound (excess sheds with a
-//                          busy error response)
+// Flags: the net group of core/cli.hpp plus --dir and --mode (--help
+// lists them). In ro mode clients degrade to their local tier.
 //   SIGTERM/SIGINT drain gracefully: stop accepting + reading, answer
 //   every admitted request, flush every byte, then exit 0.
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -48,15 +41,19 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dir = core::parse_string_flag(argc, argv, "--dir");
-  if (dir.empty()) dir = "blob_server.store";
-  const std::string mode = core::parse_string_flag(argc, argv, "--mode", "rw");
-  if (mode != "ro" && mode != "rw") {
-    std::fprintf(stderr, "blob_server: bad --mode '%s' (ro|rw)\n",
-                 mode.c_str());
-    return 1;
-  }
-  const bool writable = mode == "rw";
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {
+      {.name = "--dir", .kind = cli::Kind::kString,
+       .def = "blob_server.store", .help = "directory to export"},
+      {.name = "--mode", .kind = cli::Kind::kChoice, .def = "rw",
+       .choices = "ro|rw",
+       .help = "rw accepts puts and removes; ro answers them with a server "
+               "error"},
+      {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kNetFlags, kOwn});
+  const std::string& dir = args.text("--dir");
+  const bool writable = args.text("--mode") == "rw";
 
   std::shared_ptr<opt::StoreBackend> backend;
   try {
@@ -69,9 +66,9 @@ int main(int argc, char** argv) {
   }
 
   net::FrameServerConfig cfg;
-  cfg.port = core::parse_port(argc, argv);
-  cfg.workers = core::parse_net_workers(argc, argv);
-  cfg.max_pending = core::parse_max_pending(argc, argv);
+  cfg.port = args.count<std::uint16_t>("--port");
+  cfg.workers = args.count<unsigned>("--net-workers");
+  cfg.max_pending = args.count<std::size_t>("--max-pending");
   cfg.busy_response = opt::blob_error_response("server busy (queue full)");
   cfg.fatal_response =
       opt::blob_error_response("oversized or corrupt request frame");
@@ -89,8 +86,8 @@ int main(int argc, char** argv) {
                  "blob_server exporting %s (%s) on 127.0.0.1:%u (%u "
                  "workers)\n",
                  backend->describe().c_str(), writable ? "rw" : "ro",
-                 server.port(), core::parse_net_workers(argc, argv));
-    const std::string port_file = core::parse_port_file(argc, argv);
+                 server.port(), args.count<unsigned>("--net-workers"));
+    const std::string& port_file = args.text("--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";

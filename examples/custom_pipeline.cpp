@@ -149,7 +149,11 @@ apps::Application make_sensor_app() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {cli::kTraceDir, cli::kTrace, {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kCampaignFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
 
   core::ExperimentConfig cfg;
   cfg.platform.hier.num_procs = 2;
@@ -157,11 +161,11 @@ int main(int argc, char** argv) {
   cfg.profile_grid = {1, 2, 4, 8, 16, 32, 64};
   cfg.profile_runs = 2;
   cfg.jobs = jobs;
-  cfg.profiler = core::parse_profiler(argc, argv);
+  cfg.profiler = args.choice<core::ProfilerMode>("--profiler");
   // Custom apps opt into the persistent trace store by naming their
   // content: any change to the pipeline below must change this key.
-  cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
-                                           core::parse_trace_mode(argc, argv));
+  cfg.trace_store = core::open_trace_store(
+      args.text("--trace-dir"), args.choice<core::TraceMode>("--trace"));
   cfg.trace_key = "sensor-pipeline/v1";
 
   // Registering the custom workload makes it addressable by name for any

@@ -16,11 +16,8 @@
 // against the same directory and watch every plan come back
 // plan_source=cache in well under a millisecond.
 //
-// Flags: --trace-dir D              enable service planning, store at D
-//        --trace off|ro|rw          store mode (default rw)
-//        --jobs N                   campaign workers per request
-//        --plan-cache off|mem|disk  memoized plan cache (default disk)
-//        --plan-cache-budget-bytes/-entries N   per-tier cache budgets
+// Flags (--help lists them): --trace-dir enables service planning;
+// --trace, --jobs and the plan-cache rows tune it.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -207,17 +204,17 @@ std::uint64_t decoder1_misses(const sim::SimResults& res) {
 /// The integration sweep again, but with partitions planned by the
 /// service (and memoized by the plan cache) instead of hand-rolled
 /// budgets.
-int run_service_planned(int argc, char** argv, const std::string& dir) {
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
+int run_service_planned(const core::cli::Args& args) {
+  const std::string& dir = args.text("--trace-dir");
+  const auto jobs = args.count<unsigned>("--jobs");
+  const auto mode = args.choice<core::TraceMode>("--trace");
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "jpeg_farm: --trace off disables the service\n");
     return 1;
   }
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
+  const auto cache_mode = args.choice<core::PlanCacheMode>("--plan-cache");
+  const opt::Capacity cache_budget{args.count("--plan-cache-budget-bytes"),
+                                   args.count("--plan-cache-budget-entries")};
 
   register_farm_scenarios();
   svc::PlanningService service(
@@ -274,6 +271,11 @@ int run_service_planned(int argc, char** argv, const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace cli = core::cli;
+  constexpr cli::Flag kFlags[] = {
+      cli::kTraceDir, cli::kTrace, cli::kJobs, cli::kPlanCache,
+      cli::kPlanCacheBudgetBytes, cli::kPlanCacheBudgetEntries, {}};
+  const cli::Args args = cli::parse_or_exit(argc, argv, {kFlags});
   std::printf("JPEG farm: decoder 1's misses as co-runners are integrated\n");
   std::printf("(compositionality = the numbers in the partitioned column "
               "stay put)\n\n");
@@ -291,7 +293,5 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  const std::string dir = core::parse_trace_dir(argc, argv);
-  if (!dir.empty()) return run_service_planned(argc, argv, dir);
-  return 0;
+  return args.given("--trace-dir") ? run_service_planned(args) : 0;
 }

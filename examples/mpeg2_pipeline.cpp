@@ -15,7 +15,11 @@
 using namespace cms;
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {cli::kTraceDir, cli::kTrace, {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kCampaignFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
 
   // The registry ships the paper's evaluation scenarios by name; "mpeg2"
   // is the small MPEG2-class workload (128x96, 10 frames, 64 KB L2 —
@@ -28,9 +32,9 @@ int main(int argc, char** argv) {
   // faster. Add --trace-dir=DIR to persist the captures: the next run of
   // this example (or any tool profiling the same scenario) loads them off
   // disk and skips the instrumented simulations entirely.
-  spec.experiment.profiler = core::parse_profiler(argc, argv);
+  spec.experiment.profiler = args.choice<core::ProfilerMode>("--profiler");
   spec.experiment.trace_store = core::open_trace_store(
-      core::parse_trace_dir(argc, argv), core::parse_trace_mode(argc, argv));
+      args.text("--trace-dir"), args.choice<core::TraceMode>("--trace"));
   core::Experiment exp(spec.factory, spec.experiment);
 
   std::printf("scenario: %s — %s\n", spec.name.c_str(),

@@ -45,36 +45,12 @@
 //     {"ok": false, "error": "error busy (queue full, retry)"}   (shed)
 //     {"ok": false, "error": "error deadline expired in queue"}
 //
-// Flags: --trace-dir D             store directory (default plan_server.traces)
-//        --trace off|ro|rw         store mode (off is rejected; default rw)
-//        --store-l2-dir D          far store tier: --trace-dir becomes the
-//                                  L1 of a tiered store that reads through
-//                                  to D (captures AND .cmsplan entries)
-//        --store-l2 off|ro|rw      far-tier mode (default rw: write
-//                                  through; ro serves a frozen shared dir)
-//        --jobs N                  campaign workers per request
-//        --replay-kernel K         replay engine: auto|scalar|persize
-//                                  (bit-identical responses; the
-//                                  resolved kernel is echoed as "kernel")
-//        --service-budget-bytes N  store byte budget (0 = unlimited)
-//        --service-budget-entries N  store entry budget (0 = unlimited)
-//        --plan-cache off|mem|disk memoized plan cache (default disk:
-//                                  .cmsplan entries next to the captures)
-//        --plan-cache-budget-bytes N    per-tier cache byte budget
-//        --plan-cache-budget-entries N  per-tier cache entry budget
-//        --coalesce-window-ms X    hold every union sweep open X ms so
-//                                  concurrent bursts are guaranteed to
-//                                  merge (costs X ms of extra latency
-//                                  per cache-missing sweep leader)
-//   Socket mode (the flag's presence selects it):
-//        --port N                  listen on 127.0.0.1:N (0 = ephemeral)
-//        --port-file PATH          write the resolved port here (the
-//                                  rendezvous for --port 0)
-//        --net-workers N           worker threads = max requests in
-//                                  flight (size >= expected bursts so
-//                                  they coalesce; default 8)
-//        --max-pending N           admission queue bound; beyond it
-//                                  requests shed with the busy error
+// Flags (--help lists them all): the store, service and net groups of
+// core/cli.hpp plus --jobs, --replay-kernel and --coalesce-window-ms.
+// --trace-dir defaults to plan_server.traces and --trace off is rejected.
+// Giving --port at all, even --port 0, selects socket mode; without it
+// the server answers on stdin/stdout. Size --net-workers at least as
+// large as the bursts that should coalesce (a follower blocks its worker).
 //   SIGTERM/SIGINT drain gracefully: stop accepting + reading, finish
 //   every admitted request, flush every byte, then exit 0.
 #include <csignal>
@@ -86,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "common/number.hpp"
 #include "core/cli.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
@@ -333,13 +310,10 @@ std::optional<std::uint64_t> deadline_of(const std::string& line) {
   if (!(in >> tok) || tok != "plan") return std::nullopt;
   while (in >> tok) {
     if (tok.rfind("deadline_ms=", 0) != 0) continue;
-    const std::string val = tok.substr(12);
-    if (val.empty() || val.size() > 19) return std::nullopt;
     std::uint64_t ms = 0;
-    for (const char c : val) {
-      if (c < '0' || c > '9') return std::nullopt;
-      ms = ms * 10 + static_cast<std::uint64_t>(c - '0');
-    }
+    if (parse_decimal(std::string_view(tok).substr(12), ms) !=
+        NumberParse::kOk)
+      return std::nullopt;
     return ms;
   }
   return std::nullopt;
@@ -354,24 +328,24 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv, 1);
-  std::string dir = core::parse_trace_dir(argc, argv);
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {cli::kJobs, cli::kReplayKernel,
+                                cli::kCoalesceWindow, {}};
+  const cli::Args args = cli::parse_or_exit(
+      argc, argv,
+      {cli::kStoreFlags, cli::kServiceFlags, cli::kNetFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
+  auto [dir, mode, l2_target, l2] = cli::store_choice(args);
   if (dir.empty()) dir = "plan_server.traces";
-  const core::TraceMode mode = core::parse_trace_mode(argc, argv);
   if (mode == core::TraceMode::kOff) {
     std::fprintf(stderr, "plan_server needs a store (--trace=off?)\n");
     return 1;
   }
-  const std::string l2_target = core::parse_store_l2_target(argc, argv);
-  const core::StoreL2Mode l2 = core::parse_store_l2(argc, argv);
-  const opt::Capacity capacity{
-      core::parse_service_budget_bytes(argc, argv),
-      core::parse_service_budget_entries(argc, argv)};
-  const core::PlanCacheMode cache_mode = core::parse_plan_cache(argc, argv);
-  const opt::Capacity cache_budget{
-      core::parse_plan_cache_budget_bytes(argc, argv),
-      core::parse_plan_cache_budget_entries(argc, argv)};
-  const bool socket_mode = core::has_value_flag(argc, argv, "--port");
+  const opt::Capacity capacity{args.count("--service-budget-bytes"),
+                               args.count("--service-budget-entries")};
+  const opt::Capacity cache_budget{args.count("--plan-cache-budget-bytes"),
+                                   args.count("--plan-cache-budget-entries")};
+  const bool socket_mode = args.given("--port");
 
   // ONE backend (dir, or tiered dir-over-dir) shared by the trace store
   // and the plan cache's disk tier, so both kinds of blob ride the same
@@ -381,10 +355,11 @@ int main(int argc, char** argv) {
   svc::PlanningServiceConfig svc_cfg;
   svc_cfg.store = svc::open_service_store(backend, mode, capacity);
   svc_cfg.jobs = jobs;
-  svc_cfg.replay_kernel = core::parse_replay_kernel(argc, argv);
-  svc_cfg.plan_cache =
-      svc::open_plan_cache(cache_mode, backend, mode, cache_budget);
-  svc_cfg.coalesce_window_ms = core::parse_coalesce_window_ms(argc, argv);
+  svc_cfg.replay_kernel = args.choice<opt::ReplayKernel>("--replay-kernel");
+  svc_cfg.plan_cache = svc::open_plan_cache(
+      args.choice<core::PlanCacheMode>("--plan-cache"), backend, mode,
+      cache_budget);
+  svc_cfg.coalesce_window_ms = args.millis("--coalesce-window-ms");
   svc::PlanningService service(std::move(svc_cfg));
   std::fprintf(stderr,
                "plan_server ready: store %s (budget %llu bytes / %llu "
@@ -399,9 +374,9 @@ int main(int argc, char** argv) {
 
   if (socket_mode) {
     net::LineServerConfig net_cfg;
-    net_cfg.port = core::parse_port(argc, argv);
-    net_cfg.workers = core::parse_net_workers(argc, argv);
-    net_cfg.max_pending = core::parse_max_pending(argc, argv);
+    net_cfg.port = args.count<std::uint16_t>("--port");
+    net_cfg.workers = args.count<unsigned>("--net-workers");
+    net_cfg.max_pending = args.count<std::size_t>("--max-pending");
     net_cfg.busy_response = error_json("error busy (queue full, retry)");
     net_cfg.deadline_response =
         error_json("error deadline expired in queue");
@@ -419,14 +394,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "plan_server listening on 127.0.0.1:%u (%u net workers, "
                  "%llu max pending)\n",
-                 server.port(), core::parse_net_workers(argc, argv),
+                 server.port(), args.count<unsigned>("--net-workers"),
                  static_cast<unsigned long long>(
-                     core::parse_max_pending(argc, argv)));
+                     args.count("--max-pending")));
     g_server = &server;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     server.start();
-    const std::string port_file = core::parse_port_file(argc, argv);
+    const std::string& port_file = args.text("--port-file");
     if (!port_file.empty()) {
       std::ofstream pf(port_file, std::ios::trunc);
       pf << server.port() << "\n";

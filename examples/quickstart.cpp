@@ -6,8 +6,9 @@
 // simulate concurrently), and --quick additionally runs a reduced-grid
 // Experiment::profile() sweep through the same runner.
 //
-// Flags: --jobs N (campaign workers, default 1), --quick (small content +
-// profiling smoke; what CI runs under TSan).
+// Flags (--help lists them): --jobs N (campaign workers, default 1),
+// --quick (small content + profiling smoke; what CI runs under TSan),
+// --profiler, --trace-dir and --trace for the --quick sweep.
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -156,8 +157,17 @@ opt::PartitionPlan quickstart_plan(const apps::Application& app) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = core::parse_jobs(argc, argv);
-  const bool quick = core::has_flag(argc, argv, "--quick");
+  namespace cli = core::cli;
+  constexpr cli::Flag kOwn[] = {
+      cli::kTraceDir,
+      cli::kTrace,
+      {.name = "--quick",
+       .help = "small content plus a reduced-grid profiling sweep"},
+      {}};
+  const cli::Args args =
+      cli::parse_or_exit(argc, argv, {cli::kCampaignFlags, kOwn});
+  const auto jobs = args.count<unsigned>("--jobs");
+  const bool quick = args.given("--quick");
   if (quick) g_items = 500;
 
   const unsigned workers = core::Campaign::resolve_jobs(jobs);
@@ -229,12 +239,12 @@ int main(int argc, char** argv) {
     cfg.profile_grid = {1, 8};
     cfg.profile_runs = 1;
     cfg.jobs = jobs;
-    cfg.profiler = core::parse_profiler(argc, argv);
+    cfg.profiler = args.choice<core::ProfilerMode>("--profiler");
     // --trace-dir persists the captures; the key names this app AND its
     // content knob (g_items), so a --quick store entry can never serve a
     // full-size run.
-    cfg.trace_store = core::open_trace_store(core::parse_trace_dir(argc, argv),
-                                             core::parse_trace_mode(argc, argv));
+    cfg.trace_store = core::open_trace_store(
+        args.text("--trace-dir"), args.choice<core::TraceMode>("--trace"));
     cfg.trace_key = "quickstart/items=" + std::to_string(g_items);
     core::Experiment exp(make_quickstart_app, cfg);
     const opt::MissProfile prof = exp.profile();

@@ -232,7 +232,7 @@ class Experiment {
   std::shared_ptr<ShapeCell> shape_;
 };
 
-/// Open a directory-backed trace store per the CLI flags (core/cli.hpp):
+/// Open a directory-backed trace store per --trace-dir and --trace:
 /// returns null — no persistence — when `dir` is empty or `mode` is kOff,
 /// otherwise a store rooted at `dir` (read-only for kReadOnly).
 std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
@@ -243,8 +243,8 @@ std::shared_ptr<opt::TraceStore> open_trace_store(const std::string& dir,
 /// `l2_target` is given and `l2` is not kOff (read-through with
 /// promote-on-hit; write-through only for l2 == kReadWrite). The target
 /// is either a directory (an L2 DirBackend) or a `tcp://host:port`
-/// endpoint (an opt::NetBackend against a blob_server daemon — use
-/// core::parse_store_l2_target to gather it from the flags). Returns
+/// endpoint (an opt::NetBackend against a blob_server daemon —
+/// core::cli::store_choice gathers it from the flags). Returns
 /// null when `dir` is empty or `mode` is kOff. The same backend can feed
 /// a TraceStore and a PlanCache so both kinds share the tiering.
 std::shared_ptr<opt::StoreBackend> open_store_backend(

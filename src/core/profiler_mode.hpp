@@ -1,6 +1,7 @@
-// ProfilerMode / TraceMode live in their own header so the lightweight
-// CLI helpers (core/cli.hpp) can parse --profiler / --trace without
-// dragging the whole Experiment/sim stack into every bench and example TU.
+// ProfilerMode / TraceMode live in their own header so the flag table
+// (core/cli.hpp) can name them without dragging the whole Experiment/sim
+// stack into every bench and example TU. The enumerators follow the
+// order of their flags' choice lists (Args::choice relies on it).
 #pragma once
 
 #include <cstdint>

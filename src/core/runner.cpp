@@ -40,8 +40,8 @@ RunOutput execute_job(const SimJob& job) {
 
   sim::Os os(job.policy, cfg.hier.num_procs, job.jitter);
   if (job.policy == sim::SchedPolicy::kStatic) {
-    // Default static mapping: round-robin by task id. Callers wanting an
-    // optimized mapping use opt::assign_* and a custom Os.
+    // Static mapping: round-robin by task id. SimJob carries no
+    // assignment, so every kStatic run uses this one.
     ProcId p = 0;
     for (const auto& t : app.net->processes()) {
       os.assign(t->id(), p);

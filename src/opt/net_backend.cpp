@@ -18,6 +18,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/number.hpp"
 #include "net/frame_server.hpp"
 #include "opt/blob_protocol.hpp"
 
@@ -125,17 +126,18 @@ NetBackendConfig parse_tcp_endpoint(const std::string& url) {
   const std::string port_str = rest.substr(colon + 1);
   if (port_str.empty())
     throw std::runtime_error(url + ": tcp endpoint needs host:port");
-  std::uint64_t port = 0;
-  for (const char c : port_str) {
-    if (c < '0' || c > '9')
+  std::uint16_t port = 0;
+  switch (parse_decimal(port_str, port)) {
+    case NumberParse::kOk: break;
+    case NumberParse::kMalformed:
       throw std::runtime_error(url + ": malformed tcp port");
-    port = port * 10 + static_cast<std::uint64_t>(c - '0');
-    if (port > 65535) throw std::runtime_error(url + ": tcp port out of range");
+    case NumberParse::kOutOfRange:
+      throw std::runtime_error(url + ": tcp port out of range");
   }
   if (port == 0) throw std::runtime_error(url + ": tcp port must be nonzero");
   NetBackendConfig cfg;
   cfg.host = host;
-  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.port = port;
   return cfg;
 }
 

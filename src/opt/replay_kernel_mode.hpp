@@ -1,7 +1,7 @@
-// ReplayKernel lives in its own header so the lightweight CLI helpers
-// (core/cli.hpp) can parse --replay-kernel without dragging the whole
-// trace/replay stack into every bench and example TU (same reasoning as
-// core/profiler_mode.hpp).
+// ReplayKernel lives in its own header so callers can select it without
+// dragging the whole trace/replay stack into every bench and example TU
+// (same reasoning as core/profiler_mode.hpp). The enumerators follow the
+// order of the --replay-kernel choice list in core/cli.hpp.
 #pragma once
 
 #include <cstdint>

@@ -1,36 +1,14 @@
 #include "svc/plan_protocol.hpp"
 
 #include <bit>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/number.hpp"
 #include "common/serialize.hpp"
 
 namespace cms::svc {
 
 namespace {
-
-/// Strict decimal parse (same digits-only policy as core/cli.hpp):
-/// "64k", "abc" or "" are rejected instead of silently truncating to a
-/// number the planner would confidently mis-plan with.
-bool parse_u64(const std::string& v, std::uint64_t& out) {
-  if (v.empty() || v.size() > 19) return false;
-  std::uint64_t n = 0;
-  for (const char c : v) {
-    if (c < '0' || c > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = n;
-  return true;
-}
-
-bool parse_u32(const std::string& v, std::uint32_t& out) {
-  std::uint64_t n = 0;
-  if (!parse_u64(v, n) || n > 0xFFFFFFFFull) return false;
-  out = static_cast<std::uint32_t>(n);
-  return true;
-}
 
 std::string bad_value(const std::string& key, const std::string& val,
                       const std::string& expect) {
@@ -71,7 +49,7 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
       std::istringstream gs(val);
       std::string item;
       while (std::getline(gs, item, ',')) {
-        if (!parse_u32(item, n)) {
+        if (parse_decimal(item, n) != NumberParse::kOk) {
           error = bad_value("grid", item, "plain decimal expected");
           return false;
         }
@@ -83,29 +61,26 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
       }
     } else if (key == "runs") {
       if (!once(seen_runs)) return false;
-      if (!parse_u32(val, n)) {
+      if (parse_decimal(val, n) != NumberParse::kOk) {
         error = bad_value("runs", val, "plain decimal expected");
         return false;
       }
       req.runs = n;
     } else if (key == "l2") {
       if (!once(seen_l2)) return false;
-      if (!parse_u32(val, n)) {
+      if (parse_decimal(val, n) != NumberParse::kOk) {
         error = bad_value("l2", val, "plain decimal expected");
         return false;
       }
       req.l2_size_bytes = n;
     } else if (key == "eps") {
       if (!once(seen_eps)) return false;
-      char* end = nullptr;
-      const double eps = std::strtod(val.c_str(), &end);
-      // strtod's leniency is exactly what must be rejected here: "nan"
-      // and "inf" parse but poison the planner, and any negative value
+      // "nan" and "inf" would poison the planner, and any negative value
       // aliases the auto-tune sentinel (kAutoCurvatureEps) — a client
       // typing eps=-1 would silently get auto-tuning instead of an
       // error. Auto-tune is requested by omitting eps.
-      if (val.empty() || end != val.c_str() + val.size() ||
-          !std::isfinite(eps) || eps < 0.0) {
+      double eps = 0.0;
+      if (parse_nonneg_double(val, eps) != NumberParse::kOk) {
         error = bad_value("eps", val,
                           "finite value >= 0 expected; omit eps for "
                           "auto-tune");
@@ -115,7 +90,7 @@ bool parse_plan_request(const std::string& operands, PlanRequest& req,
     } else if (key == "deadline_ms") {
       if (!once(seen_deadline)) return false;
       std::uint64_t ms = 0;
-      if (!parse_u64(val, ms)) {
+      if (parse_decimal(val, ms) != NumberParse::kOk) {
         error = bad_value("deadline_ms", val, "plain decimal expected");
         return false;
       }

@@ -6,8 +6,8 @@
 //   plan <scenario> [grid=a,b,c] [runs=N] [l2=BYTES] [eps=X]
 //                   [deadline_ms=MS] [phases=all]
 //
-// Values are validated strictly: integers must be plain decimal (the
-// digits-only policy of core/cli.hpp — "64k" or "+5" are rejected, never
+// Values are validated strictly by the shared parser of common/number.hpp:
+// integers must be plain decimal ("64k" or "+5" are rejected, never
 // silently truncated) and eps must be a FINITE, NON-NEGATIVE double.
 // strtod would happily accept "nan", "inf" or "-1"; -1 aliases
 // PlannerConfig::kAutoCurvatureEps, so a client typo would silently turn

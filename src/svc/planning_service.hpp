@@ -389,11 +389,11 @@ class PlanningService {
   std::unordered_map<std::string, std::shared_ptr<SweepState>> sweeps_;
 };
 
-/// Build the service's store per the shared CLI flags (`--trace-dir`,
-/// `--trace`, `--service-budget-bytes`, `--service-budget-entries` — see
-/// core/cli.hpp): null when `dir` is empty or `mode` is kOff, otherwise a
-/// store rooted at `dir` (read-only for kReadOnly) with the given
-/// capacity budget.
+/// Build the service's store per the store and service flag groups
+/// (`--trace-dir`, `--trace`, `--service-budget-bytes`,
+/// `--service-budget-entries` — see core/cli.hpp): null when `dir` is
+/// empty or `mode` is kOff, otherwise a store rooted at `dir` (read-only
+/// for kReadOnly) with the given capacity budget.
 std::shared_ptr<opt::TraceStore> open_service_store(
     const std::string& dir, core::TraceMode mode,
     opt::Capacity capacity = opt::Capacity());
@@ -405,7 +405,7 @@ std::shared_ptr<opt::TraceStore> open_service_store(
     std::shared_ptr<opt::StoreBackend> backend, core::TraceMode mode,
     opt::Capacity capacity = opt::Capacity());
 
-/// Build a plan cache per the shared CLI flags (`--plan-cache`,
+/// Build a plan cache per the service flag group (`--plan-cache`,
 /// `--plan-cache-budget-bytes/-entries` — see core/cli.hpp): null for
 /// kOff; memory-only for kMemory; for kDisk the tier-2 entries live in
 /// `store_dir` (read-only when `trace_mode` is kReadOnly, memory-only
